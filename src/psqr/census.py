@@ -15,10 +15,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BadPrimeFile, PreconditionViolated, SetTooLarge, WindowTooSmall
+from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
 from .kernels import _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
-from .psprimes import PsPrimeRange, RationalExponent, is_prime, ps_primes_in, primes_in_range
+from .psprimes import (
+    _SIEVE_VALUE_CAP,
+    PsPrimeRange,
+    RationalExponent,
+    is_prime,
+    primes_in_range,
+    ps_primes_in,
+)
 from .residues import jacobi
 
 PS_PRIMES = "PS_PRIMES"
@@ -196,6 +203,9 @@ def _block_tasks(config: CensusConfig) -> list[tuple]:
     lo, hi = config.window()
     if config.source == PS_PRIMES:
         PsPrimeRange(config.exponent, lo, hi)  # validate window and budget up front
+    elif hi > _SIEVE_VALUE_CAP:
+        # the segment sieve's base primes grow with isqrt(hi): refuse before allocating
+        raise Overflow(f"--source all sieves values up to 2**44, got hi = {hi}")
     tasks = []
     for b_lo in range(lo, hi, config.block_size):
         b_hi = min(b_lo + config.block_size, hi)

@@ -5,7 +5,8 @@ run manifest (command, parameters, version, wall time, output checksum) on
 stderr; with --out the manifest is also written next to the report.
 
 Exit codes: 0 success, 2 usage or parse error, 3 failed numerical check,
-4 resource limit.
+4 resource limit (an integer or value budget, a set too large, memory
+exhausted, or a census worker process that died).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import re
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,7 +65,7 @@ _USAGE_ERRORS = (
     WindowTooSmall,
     PreconditionViolated,
 )
-_RESOURCE_ERRORS = (SetTooLarge, Overflow)
+_RESOURCE_ERRORS = (SetTooLarge, Overflow, MemoryError, BrokenProcessPool)
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _RESOURCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import Overflow, PreconditionViolated
+from .errors import CheckFailed, NotPrime, Overflow, PreconditionViolated
 
 # Deterministic Miller-Rabin witness set covering the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -24,6 +24,7 @@ _POW_BIT_BUDGET = 1 << 21     # cap on bits of n**num intermediates
 
 _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
+_FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified band (_ps_block)
 
 
 def is_prime(m: int) -> bool:
@@ -98,28 +99,42 @@ def primes_in_range(lo: int, hi: int, chunk: int = 1 << 22) -> Iterator[int]:
 
 # -- exact roots and floors --------------------------------------------------
 
-def integer_nth_root(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, certified by integer compares."""
+def integer_nth_root(x: int, k: int, guess: int | None = None) -> int:
+    """floor(x ** (1/k)) for x >= 0, k >= 1, certified by integer compares.
+
+    A guess (a float floor, say) replaces the float seed: any guess gives the
+    exact answer, and one within a unit or two of the root costs one Newton
+    step and the closing compares.
+    """
     if x < 0:
         raise ValueError("negative radicand")
     if k < 1:
         raise ValueError("root order must be >= 1")
     if k == 1 or x < 2:
         return x
-    bits = x.bit_length()
-    if bits <= 900:
-        # float seed padded to sit above the true root
-        est = x ** (1.0 / k)
-        r = int(est + est * 1e-10) + 2
+    if guess is not None:
+        # one integer Newton step from any r >= 1 lands at or above the floor
+        # of the root (AM-GM), and Newton steps from above descend onto it
+        r = max(guess, 1)
+        while True:
+            r = ((k - 1) * r + x // r ** (k - 1)) // k
+            if r**k <= x:
+                break
     else:
-        r = 1 << -(-bits // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r**k > x:
-        r -= 1
+        bits = x.bit_length()
+        if bits <= 900:
+            # float seed padded to sit above the true root
+            est = x ** (1.0 / k)
+            r = int(est + est * 1e-10) + 2
+        else:
+            r = 1 << -(-bits // k)
+        while True:
+            nr = ((k - 1) * r + x // r ** (k - 1)) // k
+            if nr >= r:
+                break
+            r = nr
+        while r**k > x:
+            r -= 1
     while (r + 1) ** k <= x:
         r += 1
     return r
@@ -191,11 +206,14 @@ def floor_pow(n: int, c: RationalExponent) -> int:
 
 
 def is_ps_prime(p: int, c: RationalExponent) -> bool:
-    """True iff p = floor(n**c) for some integer n.
+    """True iff the prime p equals floor(n**c) for some integer n.
 
     Exact form of the floor-difference test: the interval [p^gamma, (p+1)^gamma)
-    contains an integer iff ceil((p+1)^gamma) - ceil(p^gamma) = 1.
+    contains an integer iff ceil((p+1)^gamma) - ceil(p^gamma) = 1. Raises
+    NotPrime for a p that is not prime.
     """
+    if not is_prime(p):
+        raise NotPrime(f"is_ps_prime needs a prime, got {p}")
     if c.num == c.den:
         return True
     a, b = c.num, c.den
@@ -238,7 +256,30 @@ def ps_primes_in(rng: PsPrimeRange, block_size: int = BLOCK_SIZE) -> Iterator[tu
 
 
 def _ps_block(c: RationalExponent, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """One block of the stream: n in (lo, hi]."""
+    """One block of the stream: n in (lo, hi].
+
+    Float floors for the whole block, exact integer roots only for the n whose
+    float power lies within a guard band of an integer. The band is derived
+    from the error of f = pow(fl(n), fl(a/b)) against y = n**c; here
+    2 <= n < 2**64, since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
+
+    1. a/b: fl(a/b) = c(1 + e) with |e| <= 2**-53, so n**fl(a/b) = y exp(e c ln n),
+       and c ln n amplifies e to at most 2**-53 * 2 * 44.4 < 2**-46.4.
+    2. n: fl(n) is exact below 2**53; above, n passes through two roundings,
+       |fl(n)/n - 1| <= 2**-52, which the power at most doubles: < 2**-50.9.
+    3. pow: a correctly rounded libm is within 1 ulp, and numpy may dispatch to
+       a SIMD pow within a few; allow 2**10 ulp, a relative 2**-42.
+    Together |f - y| < 2**-41.9 y < 2**-41.8 f. With mf = floor(f) >= 1,
+    f < mf + 1 <= 2 mf, so |f - y| < 2**-40.8 mf < g = mf * _FLOAT_GUARD
+    (g is exact: scaling by a power of two).
+    4. floor(f) is exact, and so is f - floor(f): it lies on f's ulp grid and
+       floor(f) >= f/2 (Sterbenz). 1 - r is exact for r >= 1/2, so
+       d = min(r, 1 - r) is f's exact distance to the nearest integer.
+    If d > g, the interval (f - g, f + g) holds y and no integer, so
+    floor(y) = mf. Otherwise integer_nth_root certifies the floor from mf,
+    with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf >= 2**39 falls
+    in the band, and there the float floor only seeds the exact root.
+    """
     if c.num == c.den:
         seg = _segment_is_prime(lo + 1, hi)
         for off in np.flatnonzero(seg):
@@ -247,30 +288,37 @@ def _ps_block(c: RationalExponent, lo: int, hi: int) -> Iterator[tuple[int, int]
         return
 
     a, b = c.num, c.den
-    m_lo = floor_pow(lo + 1, c)
+    n0 = lo + 1
+    m_lo = floor_pow(n0, c)
     m_hi = floor_pow(hi, c)
-    seg = None
+    f = np.arange(hi - lo, dtype=np.float64)
+    f += float(n0)
+    np.power(f, a / b, out=f)
+    floors = np.floor(f)
+    np.subtract(f, floors, out=f)
+    np.minimum(f, 1.0 - f, out=f)
+    band = f <= floors * _FLOAT_GUARD
+    del f
+    # a cheap check that libm keeps within the allowance above
+    for i, exact in ((0, m_lo), (-1, m_hi)):
+        if not band[i] and floors[i] != exact:
+            raise CheckFailed(
+                f"float pow gives floor {int(floors[i])} where the exact floor is {exact}"
+            )
+
     if m_hi - m_lo <= _SIEVE_WIDTH_CAP and m_hi <= _SIEVE_VALUE_CAP:
-        seg = _segment_is_prime(m_lo, m_hi)
-
-    cands = None
-    if m_hi < (1 << 52):
-        ns = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        cands = np.floor(ns ** (a / b)).astype(np.int64)
-
-    for i, n in enumerate(range(lo + 1, hi + 1)):
-        npow = n**a
-        if cands is None:
-            m = integer_nth_root(npow, b)
-        else:
-            # certify the float candidate; off by at most one in practice
-            m = int(cands[i])
-            while m**b > npow:
-                m -= 1
-            while (m + 1) ** b <= npow:
-                m += 1
-        if seg is not None:
-            if seg[m - m_lo]:
-                yield (n, m)
-        elif is_prime(m):
-            yield (n, m)
+        ms = floors.astype(np.int64)
+        del floors
+        for i in np.flatnonzero(band).tolist():
+            ms[i] = integer_nth_root((n0 + i) ** a, b, int(ms[i]))
+        ms -= m_lo
+        for i in np.flatnonzero(_segment_is_prime(m_lo, m_hi)[ms]).tolist():
+            yield (n0 + i, m_lo + int(ms[i]))
+    else:
+        # floors here may pass 2**63 (those all lie in the band)
+        for i in range(hi - lo):
+            m = int(floors[i])
+            if band[i]:
+                m = integer_nth_root((n0 + i) ** a, b, m)
+            if is_prime(m):
+                yield (n0 + i, m)

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from psqr import census
 from psqr.cli import main
 
 
@@ -75,6 +77,29 @@ def test_census_set_cap_exit_4(capsys):
     big = ",".join(str(n) for n in range(1, 23))
     code, _, _ = run_cli(capsys, "census", big, "--x", "1e4")
     assert code == 4
+
+
+def test_census_all_primes_value_budget_exit_4(capsys):
+    # the base-prime sieve grows with isqrt(hi): a window past 2**44 is refused
+    cap = 1 << 44
+    code, _, err = run_cli(capsys, "census", "3", "--source", "all", "--range", f"{cap},{cap + 10}")
+    assert code == 4
+    assert "2**44" in err
+    code, _, _ = run_cli(capsys, "census", "3", "--source", "all", "--range", f"{cap - 10},{cap}")
+    assert code == 0
+
+
+@pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])
+def test_census_worker_crash_exit_4(capsys, monkeypatch, exc):
+    def crash(task):
+        raise exc()
+
+    monkeypatch.setattr(census, "_census_block", crash)
+    code, out, err = run_cli(capsys, "census", "2,3", "--c", "1", "--x", "1e4", "--threads", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_psprimes_output_and_round_trip(tmp_path, capsys):

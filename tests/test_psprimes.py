@@ -3,10 +3,16 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from psqr.errors import Overflow, PreconditionViolated
+from psqr import psprimes
+from psqr.errors import CheckFailed, NotPrime, Overflow, PreconditionViolated
 from psqr.psprimes import (
+    _SIEVE_VALUE_CAP,
+    PRIME_BUDGET,
     PsPrimeRange,
     RationalExponent,
     floor_pow,
@@ -62,6 +68,16 @@ def test_integer_nth_root_exact_powers():
         for k in (2, 3, 5, 10):
             assert integer_nth_root(base**k, k) == base
             assert integer_nth_root(base**k - 1, k) == base - 1
+
+
+def test_integer_nth_root_from_any_guess():
+    rng = random.Random(5)
+    for _ in range(500):
+        k = rng.randrange(1, 12)
+        x = rng.randrange(0, 1 << rng.randrange(1, 120))
+        r = integer_nth_root(x, k)
+        for guess in (0, 1, r - 3, r, r + 1, r + 7, 2 * r + 5):
+            assert integer_nth_root(x, k, guess) == r
 
 
 def test_floor_pow_examples():
@@ -159,6 +175,10 @@ def test_is_ps_prime_examples():
     assert is_ps_prime(101, RationalExponent(1, 1))
     assert is_ps_prime(7, c11)
     assert not is_ps_prime(13, RationalExponent(3, 2))
+    with pytest.raises(NotPrime):
+        is_ps_prime(8, RationalExponent(3, 2))  # 8 = floor(4**(3/2)), but not prime
+    with pytest.raises(NotPrime):
+        is_ps_prime(1, c11)
 
 
 @pytest.mark.parametrize("ctext", ["1", "11/10", "6/5", "3/2"])
@@ -187,3 +207,98 @@ def test_range_validation():
         PsPrimeRange(RationalExponent(1, 1), 20, 10)
     with pytest.raises(Overflow):
         PsPrimeRange(RationalExponent(3, 2), 1, 1 << 44)
+
+
+# -- the float-floor block against the exact oracle ---------------------------
+
+def _oracle(c, lo, hi):
+    return [(n, m) for n in range(lo + 1, hi + 1) if is_prime(m := floor_pow(n, c))]
+
+
+def _n_max(c):
+    """Largest n whose floor stays within the prime budget."""
+    return integer_nth_root((PRIME_BUDGET - 1) ** c.den, c.num)
+
+
+@st.composite
+def exponents(draw, max_den=254):
+    den = draw(st.integers(1, max_den))
+    num = draw(st.integers(den, min(2 * den - 1, 255) if den > 1 else 1))
+    return RationalExponent(num, den)  # reduces num/den
+
+
+def _non_integer(cs):
+    # c = 1 has no floors to certify; its block sieves n directly
+    return cs.filter(lambda c: c.den > 1)
+
+
+@st.composite
+def windows(draw):
+    c = draw(exponents())
+    # at c = 1 the block sieves n itself, with base primes up to isqrt(hi)
+    top = _SIEVE_VALUE_CAP if c.den == 1 else _n_max(c)
+    width = draw(st.integers(1, 40))
+    lo = draw(st.integers(1, 1 << draw(st.integers(1, 63))))
+    lo = min(lo, top - width)
+    return c, lo, lo + width, draw(st.integers(1, 50))
+
+
+_differential = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_differential
+@given(windows())
+@example((RationalExponent(11, 10), 610_000, 610_100, 64))
+@example((RationalExponent(243, 205), 66_000, 66_060, 25))
+def test_ps_block_matches_oracle(case):
+    c, lo, hi, block = case
+    assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
+
+
+@_differential
+@given(exponents(max_den=12), st.integers(2, 40), st.integers(0, 40), st.integers(1, 40))
+def test_ps_block_at_exact_powers(c, k, before, after):
+    # n = k**den makes n**c = k**num an integer: the float floor sits on an integer
+    n = k**c.den
+    if n > _n_max(c):
+        k = integer_nth_root(_n_max(c), c.den)
+        n = k**c.den
+    lo, hi = max(1, n - 1 - before), min(n + after, _n_max(c))
+    assert list(ps_primes_in(PsPrimeRange(c, lo, hi))) == _oracle(c, lo, hi)
+
+
+@_differential
+@given(_non_integer(exponents(max_den=40)), st.integers(1, 60), st.integers(1, 60))
+def test_ps_block_across_the_sieve_cap(c, before, after):
+    # the first n whose floor exceeds the sieve's value cap
+    n = integer_nth_root((_SIEVE_VALUE_CAP + 1) ** c.den - 1, c.num) + 1
+    lo, hi = n - 1 - before, n + after
+    assert floor_pow(lo + 1, c) <= _SIEVE_VALUE_CAP < floor_pow(hi, c)
+    got = list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=before + after + 1))
+    assert got == _oracle(c, lo, hi)
+
+
+@_differential
+@given(_non_integer(exponents(max_den=40)), st.integers(0, 1 << 20), st.integers(1, 80))
+def test_ps_block_above_2_52(c, offset, width):
+    lo = min(integer_nth_root(1 << (52 * c.den), c.num) + offset, _n_max(c) - width)
+    assert floor_pow(lo + 1, c) >= 1 << 52
+    hi = lo + width
+    assert list(ps_primes_in(PsPrimeRange(c, lo, hi))) == _oracle(c, lo, hi)
+
+
+class _PowOffByOne:
+    """numpy, except that power lands one above the true value."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def power(x, y, out=None):
+        return np.add(np.power(x, y, out=out), 1.0, out=out)
+
+
+def test_ps_block_rejects_a_pow_outside_its_allowance(monkeypatch):
+    monkeypatch.setattr(psprimes, "np", _PowOffByOne())
+    with pytest.raises(CheckFailed):
+        list(ps_primes_in(PsPrimeRange(RationalExponent(11, 10), 610_000, 620_000)))
