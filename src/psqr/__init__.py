@@ -29,7 +29,9 @@ from .errors import (
     Overflow,
     PreconditionViolated,
     PsqrError,
+    ResourceLimit,
     SetTooLarge,
+    UsageError,
     WindowTooSmall,
     XTooSmallWarning,
 )

@@ -15,6 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
 from .kernels import _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
@@ -26,7 +28,7 @@ from .psprimes import (
     primes_in_range,
     ps_primes_in,
 )
-from .residues import jacobi
+from .residues import jacobi_column
 
 PS_PRIMES = "PS_PRIMES"
 ALL_PRIMES = "ALL_PRIMES"
@@ -153,27 +155,17 @@ def write_prime_file(path: str, primes: Iterable[int], comment: str | None = Non
 # -- block workers -------------------------------------------------------------
 
 def _count_patterns(elements: tuple[int, ...], primes: Iterable[int]) -> tuple[int, int, dict[int, int]]:
-    total = 0
-    skipped = 0
-    counts: dict[int, int] = {}
-    for p in primes:
-        total += 1
-        if p == 2:
-            skipped += 1
-            continue
-        mask = 0
-        for i, s in enumerate(elements):
-            j = jacobi(s, p)
-            if j == 0:
-                mask = -1
-                break
-            if j < 0:
-                mask |= 1 << i
-        if mask < 0:
-            skipped += 1
-        else:
-            counts[mask] = counts.get(mask, 0) + 1
-    return total, skipped, counts
+    ps = np.fromiter(primes, dtype=np.uint64)
+    odd = ps[ps != 2]  # symbols are defined at odd primes; 2 counts as skipped
+    masks = np.zeros(odd.size, dtype=np.int64)
+    defined = np.ones(odd.size, dtype=bool)
+    for i, s in enumerate(elements):
+        col = jacobi_column(s, odd)
+        defined &= col != 0
+        masks |= (col < 0).astype(np.int64) << i
+    keys, counts = np.unique(masks[defined], return_counts=True)
+    skipped = ps.size - int(np.count_nonzero(defined))
+    return ps.size, skipped, dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:

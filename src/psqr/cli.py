@@ -30,19 +30,7 @@ from .census import (
     CensusConfig,
     run_census,
 )
-from .errors import (
-    BadPrimeFile,
-    BasisIncomplete,
-    CheckFailed,
-    DuplicateElement,
-    EmptySet,
-    EvenModulus,
-    NotPrime,
-    Overflow,
-    PreconditionViolated,
-    SetTooLarge,
-    WindowTooSmall,
-)
+from .errors import CheckFailed, ResourceLimit, UsageError
 from .expsums import (
     bilinear_check,
     cancellation_scan,
@@ -53,19 +41,6 @@ from .expsums import (
 from .kernels import square_subset_family
 from .predict import parity_analysis, qr_count_asymptotic
 from .psprimes import PsPrimeRange, RationalExponent, ps_primes_in
-
-_USAGE_ERRORS = (
-    ValueError,
-    EmptySet,
-    DuplicateElement,
-    BasisIncomplete,
-    EvenModulus,
-    NotPrime,
-    BadPrimeFile,
-    WindowTooSmall,
-    PreconditionViolated,
-)
-_RESOURCE_ERRORS = (SetTooLarge, Overflow, MemoryError, BrokenProcessPool)
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -391,13 +366,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _RESOURCE_ERRORS as exc:
+    except (ResourceLimit, MemoryError, BrokenProcessPool) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Grouped by how the CLI maps them to exit codes: usage/validation errors
-exit 2, failed numerical verdicts exit 3, resource-limit errors exit 4.
+Grouped under three base classes by how the CLI maps them to exit codes:
+UsageError exits 2, CheckFailed (a failed numerical verdict) exits 3,
+ResourceLimit exits 4.
 """
 
 
@@ -11,35 +12,39 @@ class PsqrError(Exception):
 
 # -- usage / validation (CLI exit 2) --
 
-class EmptySet(PsqrError):
+class UsageError(PsqrError):
+    """An input or argument the operation does not accept."""
+
+
+class EmptySet(UsageError):
     """The element set is empty."""
 
 
-class DuplicateElement(PsqrError):
+class DuplicateElement(UsageError):
     """The element set contains a repeated value."""
 
 
-class BasisIncomplete(PsqrError):
+class BasisIncomplete(UsageError):
     """An odd-exponent prime of the input lies outside the given basis."""
 
 
-class EvenModulus(PsqrError):
+class EvenModulus(UsageError):
     """Jacobi symbol requested for an even or nonpositive modulus."""
 
 
-class NotPrime(PsqrError):
+class NotPrime(UsageError):
     """A prime argument failed its primality check."""
 
 
-class BadPrimeFile(PsqrError):
+class BadPrimeFile(UsageError):
     """Prime-list file is malformed: unsorted, non-integer, or composite entry."""
 
 
-class WindowTooSmall(PsqrError):
+class WindowTooSmall(UsageError):
     """Census window does not dominate the product of the set elements."""
 
 
-class PreconditionViolated(PsqrError):
+class PreconditionViolated(UsageError):
     """A documented precondition of an operation was not met."""
 
 
@@ -51,11 +56,15 @@ class CheckFailed(PsqrError):
 
 # -- resource limits (CLI exit 4) --
 
-class SetTooLarge(PsqrError):
+class ResourceLimit(PsqrError):
+    """A size, value or integer-width budget would be exceeded."""
+
+
+class SetTooLarge(ResourceLimit):
     """Set size exceeds the supported enumeration ceiling."""
 
 
-class Overflow(PsqrError):
+class Overflow(ResourceLimit):
     """An intermediate value exceeds the configured integer-width budget."""
 
 

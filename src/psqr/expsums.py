@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionViolated
 from .kernels import factorize
 from .psprimes import primes_up_to
-from .residues import jacobi
+from .residues import jacobi_column
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,8 +258,7 @@ def _l_sum(N: int, M: int, J: int, gamma: float, s: int, lam: np.ndarray | None 
     )
     contrib = lam[ns] * diffs
     if s != 1:
-        chi = np.array([jacobi(s, int(n)) for n in ns], dtype=np.float64)
-        contrib = contrib * chi
+        contrib = contrib * jacobi_column(s, ns)
     return math.fsum(contrib.tolist())
 
 
@@ -296,6 +295,8 @@ def bilinear_check(
 
     lam = von_mangoldt_sieve(M)
     mu = mobius_sieve(M)
+    # chi[n >> 1] = (s/n) for odd n <= M: every symbol the sums below take
+    chi = jacobi_column(s, np.arange(1, M + 1, 2, dtype=np.uint64)).tolist()
 
     def phase(t: int) -> complex:
         return cmath.exp(TWO_PI * 1j * j * float(t) ** gamma)
@@ -307,7 +308,7 @@ def bilinear_check(
     for n in range((N + 1) | 1, M + 1, 2):
         w = lam[n]
         if w:
-            lhs_parts.append(w * jacobi(s, n) * phase(n))
+            lhs_parts.append(w * chi[n >> 1] * phase(n))
     lhs = fold(lhs_parts)
 
     # a(m) = sum of mu(d) over d | m, d <= u
@@ -342,14 +343,14 @@ def bilinear_check(
         am = int(a_arr[m])
         if am == 0:
             continue
-        cm = jacobi(s, m)
+        cm = chi[m >> 1]
         if cm == 0:
             continue
         base = -am * cm
         for n in range(first_odd(max(n_min_1, N // m + 1)), M // m + 1, 2):
             w = lam[n]
             if w:
-                cn = jacobi(s, n)
+                cn = chi[n >> 1]
                 if cn:
                     rhs_parts.append(base * w * cn * phase(m * n))
 
@@ -358,13 +359,13 @@ def bilinear_check(
         mm = int(mu[m])
         if mm == 0:
             continue
-        cm = jacobi(s, m)
+        cm = chi[m >> 1]
         if cm == 0:
             continue
         base = mm * cm
         for n in range(first_odd(N // m + 1), M // m + 1, 2):
             if n > 1:
-                cn = jacobi(s, n)
+                cn = chi[n >> 1]
                 if cn:
                     rhs_parts.append(base * cn * math.log(n) * phase(m * n))
 
@@ -373,12 +374,12 @@ def bilinear_check(
         bm = float(b_arr[m])
         if bm == 0.0:
             continue
-        cm = jacobi(s, m)
+        cm = chi[m >> 1]
         if cm == 0:
             continue
         base = -bm * cm
         for n in range(first_odd(N // m + 1), M // m + 1, 2):
-            cn = jacobi(s, n)
+            cn = chi[n >> 1]
             if cn:
                 rhs_parts.append(base * cn * phase(m * n))
 

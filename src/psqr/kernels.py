@@ -15,10 +15,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BasisIncomplete,
+    CheckFailed,
     DuplicateElement,
     EmptySet,
     Overflow,
-    PsqrError,
     SetTooLarge,
 )
 from .psprimes import is_prime, primes_up_to
@@ -65,7 +65,7 @@ def _brent_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise PsqrError(f"rho sweep exhausted on {n}")  # unreachable for 64-bit inputs
+    raise CheckFailed(f"rho sweep exhausted on {n}")  # unreachable for 64-bit inputs
 
 
 def factorize(n: int) -> Factorization:
@@ -259,7 +259,7 @@ def square_subset_family(S: Iterable[int]) -> SquareSubsetFamily:
         # guard the closed form against derivation error by explicit enumeration
         enum_parity = sum(-1 if m.bit_count() & 1 else 1 for m in _gray_span(kernel_basis))
         if enum_parity != parity_sum:
-            raise PsqrError(
+            raise CheckFailed(
                 f"parity closed form {parity_sum} disagrees with enumeration {enum_parity}"
             )
 
@@ -307,7 +307,7 @@ def brute_force_family(S: Iterable[int]) -> SquareSubsetFamily:
     family_count = len(member_masks)
     dim = (family_count + 1).bit_length() - 1
     if family_count + 1 != 1 << dim:
-        raise PsqrError(f"family count {family_count} is not of the form 2**d - 1")
+        raise CheckFailed(f"family count {family_count} is not of the form 2**d - 1")
 
     basis: list[int] = []
     pivots: dict[int, int] = {}

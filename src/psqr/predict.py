@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PsqrError, SetTooLarge, XTooSmallWarning
+from .errors import CheckFailed, SetTooLarge, XTooSmallWarning
 from .kernels import SquareSubsetFamily, _mask_key, square_subset_family
 from .psprimes import RationalExponent
 
@@ -110,7 +110,7 @@ def parity_analysis(S: Iterable[int]) -> Prediction:
     if fam.parity_sum < 0:
         parity_class = UNDECIDED_SUM_MINUS_ONE
         if fam.family_count % 2 == 0:
-            raise PsqrError(
+            raise CheckFailed(
                 f"parity sum -1 forces an odd family, got {fam.family_count}"
             )
     else:

@@ -102,9 +102,9 @@ def primes_in_range(lo: int, hi: int, chunk: int = 1 << 22) -> Iterator[int]:
 def integer_nth_root(x: int, k: int, guess: int | None = None) -> int:
     """floor(x ** (1/k)) for x >= 0, k >= 1, certified by integer compares.
 
-    A guess (a float floor, say) replaces the float seed: any guess gives the
-    exact answer, and one within a unit or two of the root costs one Newton
-    step and the closing compares.
+    A guess (a float floor, say) replaces the seed from log2(x): any guess
+    gives the exact answer, and one within a unit or two of the root costs one
+    Newton step and the closing compares.
     """
     if x < 0:
         raise ValueError("negative radicand")
@@ -112,29 +112,19 @@ def integer_nth_root(x: int, k: int, guess: int | None = None) -> int:
         raise ValueError("root order must be >= 1")
     if k == 1 or x < 2:
         return x
-    if guess is not None:
-        # one integer Newton step from any r >= 1 lands at or above the floor
-        # of the root (AM-GM), and Newton steps from above descend onto it
-        r = max(guess, 1)
-        while True:
-            r = ((k - 1) * r + x // r ** (k - 1)) // k
-            if r**k <= x:
-                break
-    else:
-        bits = x.bit_length()
-        if bits <= 900:
-            # float seed padded to sit above the true root
-            est = x ** (1.0 / k)
-            r = int(est + est * 1e-10) + 2
-        else:
-            r = 1 << -(-bits // k)
-        while True:
-            nr = ((k - 1) * r + x // r ** (k - 1)) // k
-            if nr >= r:
-                break
-            r = nr
-        while r**k > x:
-            r -= 1
+    if guess is None:
+        # 2**(log2(x)/k) to 52 bits, shifted into place; its relative error
+        # is about log2(x) 2**-53 / k, so Newton needs only a few steps
+        e = math.log2(x) / k
+        shift = max(int(e) - 52, 0)
+        guess = int(2.0 ** (e - shift)) << shift
+    # one integer Newton step from any r >= 1 lands at or above the floor of
+    # the root (AM-GM), and Newton steps from above descend onto it
+    r = max(guess, 1)
+    while True:
+        r = ((k - 1) * r + x // r ** (k - 1)) // k
+        if r**k <= x:
+            break
     while (r + 1) ** k <= x:
         r += 1
     return r
@@ -258,8 +248,9 @@ def ps_primes_in(rng: PsPrimeRange, block_size: int = BLOCK_SIZE) -> Iterator[tu
 def _ps_block(c: RationalExponent, lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """One block of the stream: n in (lo, hi].
 
-    Float floors for the whole block, exact integer roots only for the n whose
-    float power lies within a guard band of an integer. The band is derived
+    At c = 1 the floors are n itself. Otherwise the block takes float floors
+    for the whole block, and exact integer roots only for the n whose float
+    power lies within a guard band of an integer. The band is derived
     from the error of f = pow(fl(n), fl(a/b)) against y = n**c; here
     2 <= n < 2**64, since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
 
@@ -279,46 +270,51 @@ def _ps_block(c: RationalExponent, lo: int, hi: int) -> Iterator[tuple[int, int]
     floor(y) = mf. Otherwise integer_nth_root certifies the floor from mf,
     with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf >= 2**39 falls
     in the band, and there the float floor only seeds the exact root.
-    """
-    if c.num == c.den:
-        seg = _segment_is_prime(lo + 1, hi)
-        for off in np.flatnonzero(seg):
-            p = lo + 1 + int(off)
-            yield (p, p)
-        return
 
+    Primality of the floors is one lookup into a segment sieve when they stay
+    within _SIEVE_VALUE_CAP and _SIEVE_WIDTH_CAP, else Miller-Rabin per floor.
+    """
     a, b = c.num, c.den
     n0 = lo + 1
-    m_lo = floor_pow(n0, c)
-    m_hi = floor_pow(hi, c)
-    f = np.arange(hi - lo, dtype=np.float64)
-    f += float(n0)
-    np.power(f, a / b, out=f)
-    floors = np.floor(f)
-    np.subtract(f, floors, out=f)
-    np.minimum(f, 1.0 - f, out=f)
-    band = f <= floors * _FLOAT_GUARD
-    del f
-    # a cheap check that libm keeps within the allowance above
-    for i, exact in ((0, m_lo), (-1, m_hi)):
-        if not band[i] and floors[i] != exact:
-            raise CheckFailed(
-                f"float pow gives floor {int(floors[i])} where the exact floor is {exact}"
-            )
+    if a == b:
+        m_lo, m_hi = n0, hi  # the floors are n itself
+    else:
+        m_lo = floor_pow(n0, c)
+        m_hi = floor_pow(hi, c)
+        f = np.arange(hi - lo, dtype=np.float64)
+        f += float(n0)
+        np.power(f, a / b, out=f)
+        floors = np.floor(f)
+        np.subtract(f, floors, out=f)
+        np.minimum(f, 1.0 - f, out=f)
+        band = f <= floors * _FLOAT_GUARD
+        del f
+        # a cheap check that libm keeps within the allowance above
+        for i, exact in ((0, m_lo), (-1, m_hi)):
+            if not band[i] and floors[i] != exact:
+                raise CheckFailed(
+                    f"float pow gives floor {int(floors[i])} where the exact floor is {exact}"
+                )
 
     if m_hi - m_lo <= _SIEVE_WIDTH_CAP and m_hi <= _SIEVE_VALUE_CAP:
-        ms = floors.astype(np.int64)
-        del floors
-        for i in np.flatnonzero(band).tolist():
-            ms[i] = integer_nth_root((n0 + i) ** a, b, int(ms[i]))
-        ms -= m_lo
+        if a == b:
+            ms = np.arange(hi - lo, dtype=np.int64)
+        else:
+            ms = floors.astype(np.int64)
+            del floors
+            for i in np.flatnonzero(band).tolist():
+                ms[i] = integer_nth_root((n0 + i) ** a, b, int(ms[i]))
+            ms -= m_lo
         for i in np.flatnonzero(_segment_is_prime(m_lo, m_hi)[ms]).tolist():
             yield (n0 + i, m_lo + int(ms[i]))
     else:
         # floors here may pass 2**63 (those all lie in the band)
         for i in range(hi - lo):
-            m = int(floors[i])
-            if band[i]:
-                m = integer_nth_root((n0 + i) ** a, b, m)
+            if a == b:
+                m = n0 + i
+            else:
+                m = int(floors[i])
+                if band[i]:
+                    m = integer_nth_root((n0 + i) ** a, b, m)
             if is_prime(m):
                 yield (n0 + i, m)

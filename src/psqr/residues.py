@@ -1,8 +1,13 @@
 """Legendre-Jacobi symbols and the sign pattern of a set at a prime.
 
-Censuses and exponential sums evaluate symbols millions of times, either a
-small numerator against many large moduli or every residue of one small
-modulus. Both symbol routines therefore serve odd moduli below ROW_CAP from
+Censuses and exponential sums ask for one numerator against many moduli: the
+symbols (s/p) of each element along a prime stream, and the character
+n -> (s/n) over odd n. jacobi_column serves that traffic: the binary
+reciprocity reduction of _jacobi_loop, run over a whole array of moduli at
+once, COLUMN_CHUNK moduli at a time so its temporaries stay bounded.
+
+The scalar routines serve the other traffic, every residue of one small
+modulus (criterion 10's sweep). Odd moduli below ROW_CAP are served from
 per-modulus rows: a row holds the symbol of every residue 0 <= a < m, one
 byte per entry.
 
@@ -15,16 +20,11 @@ byte per entry.
   never take more than 2 * ROW_BUDGET bytes (8 MiB).
 * jacobi's rows are built from the squares modulo each prime factor of m,
   combined by multiplicativity, so they hold the Jacobi symbol at composite
-  and prime-power moduli too. Above the cap, the binary reciprocity
-  reduction runs until its modulus falls below ROW_CAP and finishes with the
-  same rows, so a small numerator costs one step plus a lookup.
+  and prime-power moduli too. Moduli at or above the cap, and those with no
+  row yet, take _jacobi_loop.
 * legendre_euler's rows are a**((p-1)/2) mod p itself, exponentiated for all
   a at once. They never read jacobi's rows, so Euler's criterion stays an
-  independent oracle.
-
-_jacobi_loop and scalar pow are the reference paths and serve moduli with no
-row. If numba is importable, word-size moduli above the cap go to compiled
-cores instead; moduli below the cap take the row path either way.
+  independent oracle; without a row it is scalar pow.
 """
 
 from __future__ import annotations
@@ -35,18 +35,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvenModulus, NotPrime
+from .errors import EvenModulus, NotPrime, PreconditionViolated
 from .kernels import factorize
 from .psprimes import is_prime
 
 ROW_CAP = 1 << 14      # rows serve odd moduli below this
 ROW_BUDGET = 1 << 22   # entries one row store holds before it is cleared
-
-_WORD_LIMIT = 1 << 62
+COLUMN_CHUNK = 1 << 14  # moduli jacobi_column reduces at once
 
 
 def _jacobi_loop(a: int, n: int) -> int:
-    """Binary reciprocity reduction; 0 <= a < n, n odd. Reference path."""
+    """Binary reciprocity reduction; 0 <= a < n, n odd. The reference for rows
+    and columns, and scalar jacobi's path where no row serves."""
     result = 1
     while a:
         z = (a & -a).bit_length() - 1
@@ -59,53 +59,45 @@ def _jacobi_loop(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-_CORES: tuple | None = None
-_CORES_TRIED = False
+_ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)  # 2**z with z odd
 
 
-def _cores():
-    """(jacobi, powmod) compiled for word-size arguments, or None."""
-    global _CORES, _CORES_TRIED
-    if not _CORES_TRIED:
-        _CORES_TRIED = True
-        try:
-            from numba import njit
+def jacobi_column(s: int, ns: np.ndarray | Sequence[int]) -> np.ndarray:
+    """(s/n) for every odd n of ns (1 <= n < 2**64) as int8, for 1 <= s <= 2**64.
 
-            @njit("int64(int64, int64)", cache=True)
-            def jac(a, n):
-                result = 1
-                while a:
-                    while not a & 1:
-                        a >>= 1
-                        r = n & 7
-                        if r == 3 or r == 5:
-                            result = -result
-                    if a & 3 == 3 and n & 3 == 3:
-                        result = -result
-                    t = n % a
-                    n = a
-                    a = t
-                if n == 1:
-                    return result
-                return 0
-
-            @njit("int64(int64, int64, int64)", cache=True)
-            def powmod(a, e, p):
-                r = 1
-                b = a % p
-                while e:
-                    if e & 1:
-                        r = r * b % p
-                    b = b * b % p
-                    e >>= 1
-                return r
-
-            jac(2, 7)
-            powmod(2, 3, 7)
-            _CORES = (jac, powmod)
-        except Exception:
-            _CORES = None
-    return _CORES
+    s = 2**e t with t odd, so (s/n) = (2/n)**e (t/n); the factor (t/n) runs
+    _jacobi_loop's reduction on all moduli of a chunk at once, dropping each
+    modulus from the working arrays as its reduction ends.
+    """
+    if not 1 <= s <= 1 << 64:
+        raise PreconditionViolated(f"column numerators run over 1..2**64, got {s}")
+    ns = np.asarray(ns, dtype=np.uint64)
+    if not (ns & 1).all():
+        raise EvenModulus("Jacobi moduli must be odd and positive")
+    e = (s & -s).bit_length() - 1
+    t = np.uint64(s >> e)
+    out = np.empty(ns.size, dtype=np.int8)
+    for lo in range(0, ns.size, COLUMN_CHUNK):
+        n = ns[lo : lo + COLUMN_CHUNK]
+        col = out[lo : lo + COLUMN_CHUNK]
+        where = np.arange(n.size)  # positions of the moduli still reducing
+        sign = np.ones(n.size, dtype=np.int8)
+        if e & 1:
+            sign[(n & 7 == 3) | (n & 7 == 5)] = -1
+        a = t % n
+        while where.size:
+            done = a == 0
+            if done.any():
+                col[where[done]] = np.where(n[done] == 1, sign[done], 0)
+                live = ~done
+                where, a, n, sign = where[live], a[live], n[live], sign[live]
+            low = a & (~a + 1)
+            flip = (low & _ODD_BITS != 0) & ((n & 7 == 3) | (n & 7 == 5))
+            a //= low
+            flip ^= a & n & 3 == 3
+            sign[flip] *= -1
+            a, n = n % a, a
+    return out
 
 
 class _RowStore:
@@ -172,18 +164,12 @@ _jacobi_rows = _JACOBI_ROWS.rows  # read directly on the hot paths
 _euler_rows = _EULER_ROWS.rows
 
 
-def _jacobi_small(a: int, n: int) -> int:
-    """(a/n) for 0 <= a < n < ROW_CAP, n odd, when n has no row yet."""
-    row = _JACOBI_ROWS.row_after_call(n)
-    return _jacobi_loop(a, n) if row is None else row[a]
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1; 0 iff gcd(a, n) > 1.
 
-    Binary quadratic-reciprocity reduction, finished by a symbol row once the
-    modulus is below ROW_CAP. Negative and out-of-range numerators fold in
-    through periodicity mod n.
+    A symbol row below ROW_CAP once the modulus has earned one, else the
+    binary reciprocity reduction. Negative and out-of-range numerators fold
+    in through periodicity mod n.
     """
     row = _jacobi_rows.get(n)
     if row is not None:
@@ -192,23 +178,10 @@ def jacobi(a: int, n: int) -> int:
         raise EvenModulus(f"Jacobi modulus must be odd and positive, got {n}")
     a %= n
     if n < ROW_CAP:
-        return _jacobi_small(a, n)
-    cores = _CORES if _CORES_TRIED else _cores()
-    if cores is not None and n < _WORD_LIMIT:
-        return int(cores[0](a, n))
-    result = 1
-    while n >= ROW_CAP:
-        if not a:
-            return 0
-        z = (a & -a).bit_length() - 1
-        if z & 1 and n & 7 in (3, 5):
-            result = -result
-        a >>= z
-        if a & n & 3 == 3:
-            result = -result
-        a, n = n % a, a
-    row = _jacobi_rows.get(n)
-    return result * (row[a] if row is not None else _jacobi_small(a, n))
+        row = _JACOBI_ROWS.row_after_call(n)
+        if row is not None:
+            return row[a]
+    return _jacobi_loop(a, n)
 
 
 _prime_verdicts: dict[int, bool] = {}
@@ -242,11 +215,6 @@ def legendre_euler(a: int, p: int) -> int:
         row = _EULER_ROWS.row_after_call(p)
         if row is not None:
             return row[a % p]
-    else:
-        cores = _CORES if _CORES_TRIED else _cores()
-        if cores is not None and 0 <= a and p < (1 << 31):
-            r = int(cores[1](a % p, (p - 1) >> 1, p))
-            return r - p if r > 1 else r
     r = pow(a, (p - 1) >> 1, p)
     return r - p if r > 1 else r
 

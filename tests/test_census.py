@@ -189,6 +189,32 @@ def test_census_counts_match_pattern_at():
     assert report.pattern_counts == counts
 
 
+def test_file_census_below_2_64_matches_pattern_at(tmp_path):
+    from psqr.psprimes import is_prime
+    from psqr.residues import pattern_at
+
+    top = []
+    n = (1 << 64) - 1
+    while len(top) < 40:
+        if is_prime(n):
+            top.append(n)
+        n -= 2
+    primes = [2, 3, 5] + top[::-1]
+    path = tmp_path / "top.txt"
+    write_prime_file(str(path), primes)
+    # an even element past 2**32, 2**64 itself, and the largest prime below 2**64
+    elements = (3, (1 << 33) + 2, top[0], 1 << 64)
+    report = run_census(CensusConfig(elements=elements, source=FILE, prime_file=str(path),
+                                     block_size=16))
+    patterns = [None if p == 2 else pattern_at(elements, p) for p in primes]
+    counts: dict[str, int] = {}
+    for pat in filter(None, patterns):
+        counts[pat.key()] = counts.get(pat.key(), 0) + 1
+    assert report.total_primes == len(primes)
+    assert report.skipped == patterns.count(None) == 3  # 2, 3 and top[0]
+    assert report.pattern_counts == counts
+
+
 def test_census_overflow_propagates():
     from psqr.errors import Overflow
 

@@ -1,13 +1,16 @@
 """CLI behavior: outputs, manifests, exit codes, round trips."""
 
+import dataclasses
 import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from psqr import census
+import psqr
+from psqr import census, kernels, predict
 from psqr.cli import main
+from psqr.errors import PsqrError
 
 
 def run_cli(capsys, *argv):
@@ -204,3 +207,50 @@ def test_threads_env_default(capsys, monkeypatch):
 
     args = build_parser().parse_args(["census", "2", "--x", "1000"])
     assert args.threads == 2
+
+
+# documented exit codes: usage errors 2, failed checks 3, resource limits 4
+_EXIT_CODES = {
+    "UsageError": 2, "EmptySet": 2, "DuplicateElement": 2, "BasisIncomplete": 2,
+    "EvenModulus": 2, "NotPrime": 2, "BadPrimeFile": 2, "WindowTooSmall": 2,
+    "PreconditionViolated": 2,
+    "CheckFailed": 3,
+    "ResourceLimit": 4, "SetTooLarge": 4, "Overflow": 4,
+}
+_EXPORTED_ERRORS = sorted(
+    (v for v in vars(psqr).values()
+     if isinstance(v, type) and issubclass(v, PsqrError) and v is not PsqrError),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_every_exported_error_has_a_documented_exit_code():
+    assert sorted(cls.__name__ for cls in _EXPORTED_ERRORS) == sorted(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc", _EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_error_class_exit_code(capsys, monkeypatch, exc):
+    def fail(elements):
+        raise exc("forced")
+
+    monkeypatch.setattr("psqr.cli.square_subset_family", fail)
+    code, out, err = run_cli(capsys, "family", "2,3")
+    assert code == _EXIT_CODES[exc.__name__]
+    assert out == ""
+    assert "forced" in err
+
+
+def _family_with_even_count(real):
+    return lambda S: dataclasses.replace(real(S), family_count=2)
+
+
+@pytest.mark.parametrize("module, name, replacement", [
+    (kernels, "_gray_span", lambda basis: iter(())),  # enumeration disagrees with closed form
+    (predict, "square_subset_family", _family_with_even_count(kernels.square_subset_family)),
+])
+def test_parity_analysis_self_check_exit_3(capsys, monkeypatch, module, name, replacement):
+    monkeypatch.setattr(module, name, replacement)
+    code, out, err = run_cli(capsys, "predict", "2,3,6")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("check failed: ")

@@ -70,6 +70,23 @@ def test_integer_nth_root_exact_powers():
             assert integer_nth_root(base**k - 1, k) == base - 1
 
 
+@st.composite
+def radicands(draw):
+    k = draw(st.integers(1, 255))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 1 << 4000)), k
+    r = draw(st.integers(1, 1 << (4000 // k)))  # r**k - 1, r**k and r**k + 1
+    return r**k + draw(st.integers(-1, 1)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(radicands())
+def test_integer_nth_root_brackets_the_root(case):
+    x, k = case
+    r = integer_nth_root(x, k)
+    assert r**k <= x < (r + 1) ** k
+
+
 def test_integer_nth_root_from_any_guess():
     rng = random.Random(5)
     for _ in range(500):
@@ -227,16 +244,10 @@ def exponents(draw, max_den=254):
     return RationalExponent(num, den)  # reduces num/den
 
 
-def _non_integer(cs):
-    # c = 1 has no floors to certify; its block sieves n directly
-    return cs.filter(lambda c: c.den > 1)
-
-
 @st.composite
 def windows(draw):
     c = draw(exponents())
-    # at c = 1 the block sieves n itself, with base primes up to isqrt(hi)
-    top = _SIEVE_VALUE_CAP if c.den == 1 else _n_max(c)
+    top = _n_max(c)
     width = draw(st.integers(1, 40))
     lo = draw(st.integers(1, 1 << draw(st.integers(1, 63))))
     lo = min(lo, top - width)
@@ -250,6 +261,7 @@ _differential = settings(max_examples=100, deadline=None, suppress_health_check=
 @given(windows())
 @example((RationalExponent(11, 10), 610_000, 610_100, 64))
 @example((RationalExponent(243, 205), 66_000, 66_060, 25))
+@example((RationalExponent(1, 1), (1 << 63) - 20, (1 << 63) + 20, 7))
 def test_ps_block_matches_oracle(case):
     c, lo, hi, block = case
     assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
@@ -268,7 +280,8 @@ def test_ps_block_at_exact_powers(c, k, before, after):
 
 
 @_differential
-@given(_non_integer(exponents(max_den=40)), st.integers(1, 60), st.integers(1, 60))
+@given(exponents(max_den=40), st.integers(1, 60), st.integers(1, 60))
+@example(RationalExponent(1, 1), 30, 30)
 def test_ps_block_across_the_sieve_cap(c, before, after):
     # the first n whose floor exceeds the sieve's value cap
     n = integer_nth_root((_SIEVE_VALUE_CAP + 1) ** c.den - 1, c.num) + 1
@@ -279,12 +292,27 @@ def test_ps_block_across_the_sieve_cap(c, before, after):
 
 
 @_differential
-@given(_non_integer(exponents(max_den=40)), st.integers(0, 1 << 20), st.integers(1, 80))
+@given(exponents(max_den=40), st.integers(0, 1 << 20), st.integers(1, 80))
 def test_ps_block_above_2_52(c, offset, width):
     lo = min(integer_nth_root(1 << (52 * c.den), c.num) + offset, _n_max(c) - width)
     assert floor_pow(lo + 1, c) >= 1 << 52
     hi = lo + width
     assert list(ps_primes_in(PsPrimeRange(c, lo, hi))) == _oracle(c, lo, hi)
+
+
+def test_c1_stream_tests_primality_without_sieving_past_the_caps(monkeypatch):
+    # a c = 1 window near 2**62 would need base primes up to 2**31 to sieve
+    sieve = psprimes.primes_up_to
+
+    def small_sieve(limit):
+        if limit > 1 << 22:
+            raise AssertionError(f"base primes up to {limit} requested")
+        return sieve(limit)
+
+    monkeypatch.setattr(psprimes, "primes_up_to", small_sieve)
+    lo = 1 << 62
+    got = list(ps_primes_in(PsPrimeRange(RationalExponent(1, 1), lo, lo + 200)))
+    assert got == [(n, n) for n in range(lo + 1, lo + 201) if is_prime(n)]
 
 
 class _PowOffByOne:

@@ -6,13 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psqr import residues
-from psqr.errors import EvenModulus, NotPrime
+from psqr.errors import EvenModulus, NotPrime, PreconditionViolated
 from psqr.kernels import square_subset_family
 from psqr.psprimes import primes_up_to
-from psqr.residues import _jacobi_loop, jacobi, legendre_euler, pattern_at
+from psqr.residues import _jacobi_loop, jacobi, jacobi_column, legendre_euler, pattern_at
 
 
 def test_jacobi_examples():
@@ -51,7 +54,7 @@ def test_jacobi_fast_path_matches_reference_loop():
         n = 2 * rng.randrange(1, 10**9) + 1
         a = rng.randrange(0, n)
         assert jacobi(a, n) == _jacobi_loop(a, n)
-    # beyond the word limit the reference loop is the live path
+    # moduli past 2**64 take the same loop
     n = (1 << 64) + 1
     for a in (2, 3, 12345, n - 2):
         assert jacobi(a, n) == _jacobi_loop(a % n, n)
@@ -145,14 +148,16 @@ def test_jacobi_rows_match_reference_loop(empty_rows):
 
 
 def test_jacobi_rows_finish_large_moduli(empty_rows):
-    # census and expsum calls: small numerators against large moduli
+    # small numerators against large moduli
     rng = random.Random(22)
     for _ in range(3):
         for s in (-15, -1, 2, 3, 5, 6, 10, 15, 105, 3**5 * 5):
             for _ in range(300):
                 n = 2 * rng.randrange(residues.ROW_CAP, 10**9) + 1
                 assert jacobi(s, n) == _jacobi_loop(s % n, n)
-    assert residues._JACOBI_ROWS.rows  # small numerators ended on rows
+    # moduli at or above the cap neither build nor count toward rows
+    for store in (residues._JACOBI_ROWS, residues._EULER_ROWS):
+        assert not store.rows and not store.calls and store.entries == 0
 
 
 def test_euler_rows_match_scalar_pow(empty_rows):
@@ -208,3 +213,59 @@ def test_row_stores_stay_within_budget(empty_rows, monkeypatch):
     assert len(jac.rows) < 1750 and len(eul.rows) < len(primes)
     for m in (501, 2001, 3999):
         assert [jacobi(a, m) for a in range(m)] == [_jacobi_loop(a, m) for a in range(m)]
+
+
+# -- columns: one numerator against many moduli -------------------------------
+
+_U64 = (1 << 64) - 1
+
+
+@st.composite
+def column_cases(draw):
+    s = draw(st.one_of(
+        st.integers(1, 1 << 64),
+        st.integers(0, 64).map(lambda e: 1 << e),
+        st.integers(1, 1 << 20),
+        st.tuples(st.integers(1, 1 << 20), st.integers(1, 44)).map(lambda te: te[0] << te[1]),
+    ))
+    t = s >> ((s & -s).bit_length() - 1)  # odd part: its odd multiples share a factor with s
+    moduli = st.one_of(
+        st.integers(0, _U64 >> 1).map(lambda k: 2 * k + 1),
+        st.integers(0, (_U64 // t - 1) >> 1).map(lambda k: t * (2 * k + 1)),
+        st.sampled_from([1, 3, 5, 7, _U64]),
+    )
+    chunk = draw(st.sampled_from([1, 3, 64]))
+    return s, draw(st.lists(moduli, max_size=3 * chunk + 2)), chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_cases())
+def test_jacobi_column_matches_reference_loop(case):
+    s, ns, chunk = case
+    default, residues.COLUMN_CHUNK = residues.COLUMN_CHUNK, chunk
+    try:
+        col = jacobi_column(s, np.array(ns, dtype=np.uint64))
+    finally:
+        residues.COLUMN_CHUNK = default
+    assert col.dtype == np.int8
+    assert col.tolist() == [_jacobi_loop(s % n, n) for n in ns]
+
+
+def test_jacobi_column_across_its_chunk_boundary():
+    rng = random.Random(25)
+    size = 2 * residues.COLUMN_CHUNK + 3
+    ns = [2 * rng.randrange(0, 1 << 63) + 1 if i % 3 else 2 * rng.randrange(0, 10**6) + 1
+          for i in range(size)]
+    for s in (6, 1 << 64, _U64):
+        assert jacobi_column(s, ns).tolist() == [_jacobi_loop(s % n, n) for n in ns]
+
+
+def test_jacobi_column_validation():
+    with pytest.raises(EvenModulus):
+        jacobi_column(3, [5, 10])
+    with pytest.raises(EvenModulus):
+        jacobi_column(3, [0])
+    for s in (0, -3, (1 << 64) + 1):
+        with pytest.raises(PreconditionViolated):
+            jacobi_column(s, [5])
+    assert jacobi_column(5, []).size == 0
