@@ -2,8 +2,16 @@
 
 Sources: exact PS-prime streams, plain primes from a segmented sieve, or an
 ingested prime-list file (one decimal prime per line, ascending, '#' comments).
-Work is split into fixed n-blocks merged in block order, so reports are
-byte-identical for any thread count.
+Work is split into fixed n-blocks (at most MAX_BLOCKS of them) merged in block
+order, so reports are byte-identical for any thread count.
+
+Symbols come from the set's odd-exponent prime basis, factored once per
+census: (s/p) = -1 exactly when an odd number of the primes q dividing s to an
+odd power have (q/p) = -1. Each block takes one residues.symbol_bits column per
+basis prime and XORs it into the pattern mask of every element that q divides
+to an odd power. Every mask is therefore a sum of columns of the exponent
+matrix, so patterns outside the prediction's support (its structural zeros)
+cannot be counted. A prime dividing any element, or p = 2, is skipped.
 """
 
 from __future__ import annotations
@@ -18,23 +26,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
-from .kernels import _mask_key
+from .kernels import _mask_key, factorize
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
     _SIEVE_VALUE_CAP,
     PsPrimeRange,
     RationalExponent,
     is_prime,
-    primes_in_range,
+    prime_array,
     ps_primes_in,
 )
-from .residues import jacobi_column
+from .residues import symbol_bits
 
 PS_PRIMES = "PS_PRIMES"
 ALL_PRIMES = "ALL_PRIMES"
 FILE = "FILE"
 
 DEFAULT_BLOCK = 1 << 16
+# blocks one window may be split into: the task list (~200 bytes a block) and,
+# with a pool, one future per block are built before the first block runs
+MAX_BLOCKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,55 +165,82 @@ def write_prime_file(path: str, primes: Iterable[int], comment: str | None = Non
 
 # -- block workers -------------------------------------------------------------
 
-def _count_patterns(elements: tuple[int, ...], primes: Iterable[int]) -> tuple[int, int, dict[int, int]]:
-    ps = np.fromiter(primes, dtype=np.uint64)
-    odd = ps[ps != 2]  # symbols are defined at odd primes; 2 counts as skipped
-    masks = np.zeros(odd.size, dtype=np.int64)
-    defined = np.ones(odd.size, dtype=bool)
+@dataclass(frozen=True)
+class _Basis:
+    """The factorizations a census needs, taken once per run.
+
+    flips: (q, positions) for each prime q dividing some element to an odd
+    power, ascending in q; bit i of positions is set when q divides element i
+    to an odd power. divisors: every prime dividing some element.
+    """
+
+    flips: tuple[tuple[int, int], ...]
+    divisors: tuple[int, ...]
+
+
+def _basis(elements: Sequence[int]) -> _Basis:
+    flips: dict[int, int] = {}
+    divisors: set[int] = set()
     for i, s in enumerate(elements):
-        col = jacobi_column(s, odd)
-        defined &= col != 0
-        masks |= (col < 0).astype(np.int64) << i
-    keys, counts = np.unique(masks[defined], return_counts=True)
-    skipped = ps.size - int(np.count_nonzero(defined))
-    return ps.size, skipped, dict(zip(keys.tolist(), counts.tolist()))
+        for q, e in factorize(s).factors:
+            divisors.add(q)
+            if e & 1:
+                flips[q] = flips.get(q, 0) | 1 << i
+    return _Basis(tuple(sorted(flips.items())), tuple(sorted(divisors)))
+
+
+def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[int, int]]:
+    """(primes, skipped, mask -> count) over a uint64 array of primes."""
+    # symbols are defined at odd primes dividing no element; the rest count as skipped
+    odd = primes[~np.isin(primes, np.array((2,) + basis.divisors, dtype=np.uint64))]
+    masks = np.zeros(odd.size, dtype=np.int64)
+    for q, positions in basis.flips:
+        masks ^= symbol_bits(q, odd) * np.int64(positions)
+    keys, counts = np.unique(masks, return_counts=True)
+    return primes.size, primes.size - odd.size, dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
-    kind, elements, payload = task
+    kind, basis, payload = task
     if kind == FILE:
-        return _count_patterns(elements, payload)
+        return _count_patterns(basis, payload)
     num, den, lo, hi = payload
-    c = RationalExponent(num, den)
     if kind == ALL_PRIMES:
-        primes: Iterable[int] = primes_in_range(lo, hi)
+        primes = prime_array(lo, hi)
     else:
-        rng = PsPrimeRange(c, lo, hi)
-        primes = (p for _, p in ps_primes_in(rng))
-    return _count_patterns(elements, primes)
+        rng = PsPrimeRange(RationalExponent(num, den), lo, hi)
+        primes = np.fromiter((p for _, p in ps_primes_in(rng)), dtype=np.uint64)
+    return _count_patterns(basis, primes)
 
 
 def _block_tasks(config: CensusConfig) -> list[tuple]:
-    elements = tuple(config.elements)
     if config.source == FILE:
         if config.prime_file is None:
             raise PreconditionViolated("FILE source needs a prime_file path")
-        primes = read_prime_file(config.prime_file)
+        primes = np.array(read_prime_file(config.prime_file), dtype=np.uint64)
+        basis = _basis(config.elements)
         step = config.block_size
         return [
-            (FILE, elements, primes[i : i + step]) for i in range(0, len(primes), step)
-        ] or [(FILE, elements, ())]
+            (FILE, basis, primes[i : i + step]) for i in range(0, primes.size, step)
+        ] or [(FILE, basis, primes)]
     lo, hi = config.window()
     if config.source == PS_PRIMES:
         PsPrimeRange(config.exponent, lo, hi)  # validate window and budget up front
     elif hi > _SIEVE_VALUE_CAP:
         # the segment sieve's base primes grow with isqrt(hi): refuse before allocating
         raise Overflow(f"--source all sieves values up to 2**44, got hi = {hi}")
-    tasks = []
-    for b_lo in range(lo, hi, config.block_size):
-        b_hi = min(b_lo + config.block_size, hi)
-        tasks.append((config.source, elements, (config.exponent.num, config.exponent.den, b_lo, b_hi)))
-    return tasks
+    blocks = -(-(hi - lo) // config.block_size)
+    if blocks > MAX_BLOCKS:
+        raise Overflow(
+            f"the window spans {blocks} blocks of {config.block_size} n; the budget is "
+            f"{MAX_BLOCKS} blocks (a larger block size covers a wider window)"
+        )
+    basis = _basis(config.elements)
+    payload = (config.exponent.num, config.exponent.den)
+    return [
+        (config.source, basis, payload + (b_lo, min(b_lo + config.block_size, hi)))
+        for b_lo in range(lo, hi, config.block_size)
+    ]
 
 
 def run_census(config: CensusConfig) -> CensusReport:

@@ -6,6 +6,7 @@ and primality verdict is certified by integer arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,22 @@ from .errors import CheckFailed, NotPrime, Overflow, PreconditionViolated
 
 # Deterministic Miller-Rabin witness set covering the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, the smallest strong pseudoprime to the first k prime bases (OEIS
+# A014233; Jiang and Deng, Math. Comp. 83 (2014) 2915-2924): below
+# _MR_LIMITS[i] the first _MR_COUNTS[i] bases decide primality. psi_7 = psi_8
+# and psi_9 = psi_10 = psi_11; psi_12 exceeds 2**64, so all 12 bases serve the
+# values from psi_9 up to 2**64.
+_MR_LIMITS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+)
+_MR_COUNTS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
 
 PRIME_BUDGET = 1 << 64        # largest prime value any stream may emit
 MAX_EXPONENT_NUM = 255        # cap on the numerator of c, enforced at parse time
@@ -28,7 +45,11 @@ _FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified ban
 
 
 def is_prime(m: int) -> bool:
-    """Exact primality verdict, deterministic for the full 64-bit range."""
+    """Exact primality verdict, deterministic for the full 64-bit range.
+
+    Trial division by the 12 bases, then Miller-Rabin to as many of them as
+    the value needs (_MR_LIMITS).
+    """
     if m >= PRIME_BUDGET:
         raise Overflow(f"primality budget is 2**64, got a {m.bit_length()}-bit value")
     if m < 2:
@@ -39,7 +60,7 @@ def is_prime(m: int) -> bool:
     d = m - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: _MR_COUNTS[bisect.bisect_right(_MR_LIMITS, m)]]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -86,15 +107,18 @@ def _segment_is_prime(lo: int, hi: int) -> np.ndarray:
     return seg
 
 
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """Primes p with lo < p <= hi, 0 <= lo < hi, as an ascending uint64 array,
+    by one segment sieve."""
+    primes = np.flatnonzero(_segment_is_prime(lo + 1, hi)).astype(np.uint64)
+    primes += np.uint64(lo + 1)
+    return primes
+
+
 def primes_in_range(lo: int, hi: int, chunk: int = 1 << 22) -> Iterator[int]:
-    """Primes p with lo < p <= hi, ascending, by segmented sieve."""
-    pos = lo
-    while pos < hi:
-        top = min(pos + chunk, hi)
-        seg = _segment_is_prime(pos + 1, top)
-        for off in np.flatnonzero(seg):
-            yield pos + 1 + int(off)
-        pos = top
+    """Primes p with lo < p <= hi, ascending, one prime_array per chunk."""
+    for pos in range(lo, hi, chunk):
+        yield from prime_array(pos, min(pos + chunk, hi)).tolist()
 
 
 # -- exact roots and floors --------------------------------------------------

@@ -1,10 +1,17 @@
 """Legendre-Jacobi symbols and the sign pattern of a set at a prime.
 
-Censuses and exponential sums ask for one numerator against many moduli: the
-symbols (s/p) of each element along a prime stream, and the character
-n -> (s/n) over odd n. jacobi_column serves that traffic: the binary
-reciprocity reduction of _jacobi_loop, run over a whole array of moduli at
-once, COLUMN_CHUNK moduli at a time so its temporaries stay bounded.
+Censuses and exponential sums ask for one numerator against many moduli.
+jacobi_column serves any numerator: the binary reciprocity reduction of
+_jacobi_loop, run over a whole array of moduli at once, COLUMN_CHUNK moduli at
+a time so its temporaries stay bounded. Exponential sums take their characters
+from it, and it is the reference for symbol_bits.
+
+symbol_bits serves a prime numerator q, which is all a census needs: (s/p) is
+the product of (q/p) over the primes q dividing s to an odd power. For odd q,
+reciprocity turns (q/p) into ((p mod q)/q) and a sign read off p and q mod 4,
+so a whole column is one gather into q's row (the Legendre symbol mod q). A
+prime q above ROW_BUDGET/16, or one that has not yet earned its row, takes
+jacobi_column.
 
 The scalar routines serve the other traffic, every residue of one small
 modulus (criterion 10's sweep). Odd moduli below ROW_CAP are served from
@@ -12,16 +19,19 @@ per-modulus rows: a row holds the symbol of every residue 0 <= a < m, one
 byte per entry.
 
 * Amortisation: nothing is built at import. A modulus m gets its row only
-  once it has served m/8 calls without one, so building costs at most eight
-  entries per call served, and moduli met a few times each never pay for a
-  table.
+  once it has served m/8 symbols without one, counted across calls (one per
+  scalar call, one per modulus of a symbol_bits column), so building costs at
+  most eight entries per symbol served, and moduli met a few times never pay
+  for a table.
 * Memory: each of the two stores holds at most ROW_BUDGET entries (bytes)
   and is cleared when a new row would pass that bound, so the rows of both
   never take more than 2 * ROW_BUDGET bytes (8 MiB).
-* jacobi's rows are built from the squares modulo each prime factor of m,
-  combined by multiplicativity, so they hold the Jacobi symbol at composite
-  and prime-power moduli too. Moduli at or above the cap, and those with no
-  row yet, take _jacobi_loop.
+* One store of Jacobi rows: jacobi's rows below ROW_CAP and symbol_bits' rows
+  at prime moduli up to ROW_BUDGET/16 come from one builder, _jacobi_row,
+  and share _JACOBI_ROWS, its call counts and its budget. Rows are built from
+  the squares modulo each prime factor of m, combined by multiplicativity, so
+  they hold the Jacobi symbol at composite and prime-power moduli too.
+  Moduli at or above ROW_CAP, and those with no row yet, take _jacobi_loop.
 * legendre_euler's rows are a**((p-1)/2) mod p itself, exponentiated for all
   a at once. They never read jacobi's rows, so Euler's criterion stays an
   independent oracle; without a row it is scalar pow.
@@ -109,10 +119,10 @@ class _RowStore:
         self.entries = 0
         self._build = build
 
-    def row_after_call(self, m: int) -> Optional[array]:
-        """Count one call at odd m < ROW_CAP, which has no row; return m's
-        row once m has served m/8 such calls, else None."""
-        calls = self.calls.get(m, 0) + 1
+    def row_after(self, m: int, served: int = 1) -> Optional[array]:
+        """Count `served` symbols at odd m, which has no row; return m's row
+        once m has served m/8 symbols in all, else None."""
+        calls = self.calls.get(m, 0) + served
         if calls << 3 < m:
             self.calls[m] = calls
             return None
@@ -132,14 +142,17 @@ class _RowStore:
 
 def _jacobi_row(m: int) -> array:
     """(a/m) for 0 <= a < m: the squares mod each prime p | m give (a/p), and
-    (a/m) is the product of (a/p)**k over the prime powers p**k dividing m."""
-    a = np.arange(m)
+    (a/m) is the product of (a/p)**k over the prime powers p**k dividing m.
+    (a/p) depends on a mod p only, so p's row is tiled across m."""
     row = np.ones(m, dtype=np.int8)
     for p, k in factorize(m).factors:
+        squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
+        squares *= squares
+        squares %= p
         legendre = np.full(p, -1, dtype=np.int8)
-        legendre[np.arange(1, (p + 1) // 2) ** 2 % p] = 1
+        legendre[squares] = 1
         legendre[0] = 0
-        row *= legendre[a % p] ** k
+        row *= np.tile(legendre**k, m // p)
     return array("b", row.tobytes())
 
 
@@ -178,7 +191,7 @@ def jacobi(a: int, n: int) -> int:
         raise EvenModulus(f"Jacobi modulus must be odd and positive, got {n}")
     a %= n
     if n < ROW_CAP:
-        row = _JACOBI_ROWS.row_after_call(n)
+        row = _JACOBI_ROWS.row_after(n)
         if row is not None:
             return row[a]
     return _jacobi_loop(a, n)
@@ -197,6 +210,35 @@ def _odd_prime(p: int) -> bool:
     return ok
 
 
+def symbol_bits(q: int, ns: np.ndarray) -> np.ndarray:
+    """jacobi_column(q, ns) < 0 for a prime q and a uint64 array of odd ns.
+
+    (2/n) reads n mod 8. For odd q and n, reciprocity gives (q/n) = ((n mod
+    q)/q), negated when q and n are both 3 mod 4 (and 0 when q divides n): one
+    gather into q's row once q <= ROW_BUDGET/16 has served q/8 moduli (counted
+    across calls), else the column.
+    """
+    if not (ns & 1).all():
+        raise EvenModulus("Jacobi moduli must be odd and positive")
+    if q == 2:
+        r = ns & 7
+        return (r == 3) | (r == 5)
+    if not _odd_prime(q):
+        raise NotPrime(f"symbol_bits needs a prime numerator, got {q}")
+    row = None
+    if q <= ROW_BUDGET >> 4:  # at least 16 such rows fit in the store
+        row = _jacobi_rows.get(q)
+        if row is None:
+            row = _JACOBI_ROWS.row_after(q, ns.size)
+    if row is None:
+        return jacobi_column(q, ns) < 0
+    symbols = np.frombuffer(row, dtype=np.int8)[ns % q]
+    bits = symbols < 0
+    if q & 3 == 3:
+        bits ^= (ns & 3 == 3) & (symbols != 0)
+    return bits
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion a**((p-1)/2) mod p.
 
@@ -212,7 +254,7 @@ def legendre_euler(a: int, p: int) -> int:
     if not ok:
         raise NotPrime(f"Euler's criterion needs an odd prime, got {p}")
     if p < ROW_CAP:
-        row = _EULER_ROWS.row_after_call(p)
+        row = _EULER_ROWS.row_after(p)
         if row is not None:
             return row[a % p]
     r = pow(a, (p - 1) >> 1, p)

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from psqr import census, residues
 from psqr.census import (
     ALL_PRIMES,
     FILE,
@@ -16,7 +21,9 @@ from psqr.census import (
     write_prime_file,
 )
 from psqr.errors import BadPrimeFile, PreconditionViolated, SetTooLarge, WindowTooSmall
-from psqr.psprimes import PsPrimeRange, RationalExponent, ps_primes_in
+from psqr.kernels import _mask_key, factorize, square_subset_family
+from psqr.psprimes import PsPrimeRange, RationalExponent, prime_array, ps_primes_in
+from psqr.residues import jacobi_column
 
 C1 = RationalExponent(1, 1)
 C11 = RationalExponent(11, 10)
@@ -248,3 +255,122 @@ def test_convergence_table_ps_exponent():
     rows = convergence_table(cfg, [10**5, 10**6])
     assert all(r[2] == 0.5 for r in rows)
     assert all(abs(r[1] - 0.5) < 0.02 for r in rows)
+
+
+# -- basis symbols against one Jacobi column per element ----------------------
+
+_U64 = (1 << 64) - 1
+_SMALL_PRIMES = prime_array(0, 100).tolist()
+# 2**18 = ROW_BUDGET >> 4 is the row cap: primes on both sides of it
+_MID_PRIMES = [1009, 7919, 65537, 262139]
+_BIG_PRIMES = [262147, 1_000_003, 2**31 - 1, 4294967291, 2**61 - 1, 18446744073709551557]
+
+
+def _column_histogram(elements, primes):
+    """The census by one jacobi_column per element: the oracle."""
+    odd = primes[primes != 2]
+    masks = np.zeros(odd.size, dtype=np.int64)
+    defined = np.ones(odd.size, dtype=bool)
+    for i, s in enumerate(elements):
+        col = jacobi_column(s, odd)
+        defined &= col != 0
+        masks |= (col < 0).astype(np.int64) << i
+    keys, counts = np.unique(masks[defined], return_counts=True)
+    skipped = primes.size - int(np.count_nonzero(defined))
+    return primes.size, skipped, dict(zip(keys.tolist(), counts.tolist()))
+
+
+@st.composite
+def _element(draw):
+    kind = draw(st.sampled_from(["product", "any", "square", "power_of_two", "fixed"]))
+    if kind == "any":
+        return draw(st.integers(1, 1 << 64))
+    if kind == "square":
+        return draw(st.integers(1, 1 << 32)) ** 2
+    if kind == "power_of_two":
+        return 1 << draw(st.integers(0, 64))
+    if kind == "fixed":
+        return draw(st.sampled_from([1, 18, 1 << 64, _U64, 9 * 2**40, 262147**2 * 3]))
+    # prime powers from every pool, repeated and even exponents included
+    s = 1
+    pool = st.sampled_from(_SMALL_PRIMES + _MID_PRIMES + _BIG_PRIMES)
+    for q, e in draw(st.lists(st.tuples(pool, st.integers(1, 4)), max_size=5)):
+        if s * q**e <= 1 << 64:
+            s *= q**e
+    return s
+
+
+@st.composite
+def _census_case(draw):
+    elements = draw(st.lists(_element(), min_size=1, max_size=8, unique=True))
+    # consecutive primes from 2, every prime dividing an element, large primes
+    primes = set(prime_array(0, draw(st.integers(2, 4000))).tolist())
+    primes.update(q for s in elements for q, _ in factorize(s).factors)
+    primes.update(draw(st.lists(st.sampled_from(_MID_PRIMES + _BIG_PRIMES), max_size=6)))
+    block = draw(st.integers(1, 600))
+    budget = draw(st.sampled_from([None, 1 << 10, 1 << 12]))
+    return tuple(elements), np.array(sorted(primes), dtype=np.uint64), block, budget
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_census_case())
+@example(((3, 5, 15, 262147, 18, 1), np.array(prime_array(0, 3000).tolist() + [262147],
+                                               dtype=np.uint64), 97, 1 << 10))
+def test_basis_histogram_matches_jacobi_columns(case):
+    elements, primes, block, budget = case
+    default = residues.ROW_BUDGET
+    residues._JACOBI_ROWS.clear()
+    if budget is not None:
+        residues.ROW_BUDGET = budget
+    try:
+        basis = census._basis(elements)
+        total = skipped = 0
+        counts: dict[int, int] = {}
+        for i in range(0, primes.size, block):  # rows are earned across blocks
+            b_total, b_skipped, b_counts = census._count_patterns(basis, primes[i : i + block])
+            total += b_total
+            skipped += b_skipped
+            for mask, cnt in b_counts.items():
+                counts[mask] = counts.get(mask, 0) + cnt
+        assert residues._JACOBI_ROWS.entries <= residues.ROW_BUDGET
+    finally:
+        residues.ROW_BUDGET = default
+        residues._JACOBI_ROWS.clear()
+    assert (total, skipped, counts) == _column_histogram(elements, primes)
+    # every observed pattern pairs evenly with the square-subset kernel
+    for b in square_subset_family(elements).kernel_basis:
+        assert all((mask & b).bit_count() % 2 == 0 for mask in counts)
+
+
+def test_census_rebuilds_rows_evicted_mid_run(monkeypatch):
+    # the odd primes below 256 in six elements: their rows (~5.8k entries) pass
+    # a 4096-entry budget, so rows are evicted and earned again along the window
+    odd = prime_array(2, 256).tolist()
+    elements = tuple(math.prod(odd[i::6]) for i in range(6))
+    assert all(s < 1 << 64 for s in elements)
+    store = residues._JACOBI_ROWS
+    store.clear()
+    builds, clears = [], []
+    build, clear = store._build, store.clear
+
+    def counted_build(m):
+        builds.append(m)
+        return build(m)
+
+    def counted_clear():
+        clears.append(len(store.rows))
+        clear()
+
+    monkeypatch.setattr(residues, "ROW_BUDGET", 1 << 12)
+    monkeypatch.setattr(store, "_build", counted_build)
+    monkeypatch.setattr(store, "clear", counted_clear)
+    try:
+        report = run_census(CensusConfig(elements=elements, exponent=C1, lo=0, hi=120_000,
+                                         source=ALL_PRIMES, block_size=4096))
+        assert store.entries <= 1 << 12
+    finally:
+        clear()
+    assert clears and len(builds) > len(set(builds))
+    total, skipped, counts = _column_histogram(elements, prime_array(0, 120_000))
+    assert (report.total_primes, report.skipped) == (total, skipped)
+    assert report.pattern_counts == {_mask_key(m, 6): c for m, c in sorted(counts.items())}

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -90,6 +92,29 @@ def test_census_all_primes_value_budget_exit_4(capsys):
     assert "2**44" in err
     code, _, _ = run_cli(capsys, "census", "3", "--source", "all", "--range", f"{cap - 10},{cap}")
     assert code == 0
+
+
+def test_census_wide_window_exit_4_before_planning(capsys):
+    # 1e13 n in 2**16-n blocks would be ~1.5e8 tasks, planned before any block runs
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "census", "2,3", "--c", "11/10", "--range", "1,1e13")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4 and out == ""
+    assert f"budget is {census.MAX_BLOCKS} blocks" in err
+    assert peak < 1 << 20
+
+
+def test_census_block_budget_boundary():
+    top = census.MAX_BLOCKS + 1
+    config = census.CensusConfig(elements=(2, 3), lo=1, hi=top, block_size=1)
+    assert len(census._block_tasks(config)) == census.MAX_BLOCKS
+    with pytest.raises(psqr.Overflow):
+        census._block_tasks(dataclasses.replace(config, hi=top + 1))
 
 
 @pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])

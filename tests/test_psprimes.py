@@ -19,6 +19,7 @@ from psqr.psprimes import (
     integer_nth_root,
     is_prime,
     is_ps_prime,
+    prime_array,
     primes_in_range,
     primes_up_to,
     ps_primes_in,
@@ -145,8 +146,59 @@ def test_is_prime_budget():
         is_prime(1 << 65)
 
 
+# one nontrivial divisor of each psi_k in psprimes._MR_LIMITS
+_MR_LIMIT_DIVISORS = (23, 829, 2251, 151, 6763, 1303, 10670053, 149491)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _twelve_base_verdict(n):
+    """The full 12-base test for every n, as is_prime ran it before the limits."""
+    if n < 2:
+        return False
+    if any(n % p == 0 for p in psprimes._MR_BASES):
+        return n in psprimes._MR_BASES
+    return all(_strong_probable_prime(n, a) for a in psprimes._MR_BASES)
+
+
+def test_miller_rabin_limits_are_tight():
+    # psi_k is composite and passes the first k bases, so its limit cannot grow;
+    # it also passes every base but the last of the count used from psi_k up,
+    # so that count cannot shrink
+    limits, counts = psprimes._MR_LIMITS, psprimes._MR_COUNTS
+    assert len(counts) == len(limits) + 1 and counts[-1] == len(psprimes._MR_BASES)
+    assert list(limits) == sorted(limits) and limits[-1] < PRIME_BUDGET
+    for limit, k, k_above, d in zip(limits, counts, counts[1:], _MR_LIMIT_DIVISORS):
+        assert 1 < d < limit and limit % d == 0
+        assert k < k_above
+        assert all(_strong_probable_prime(limit, a) for a in psprimes._MR_BASES[: k_above - 1])
+        assert not is_prime(limit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(psprimes._MR_LIMITS), st.integers(-(1 << 12), 1 << 12))
+@example(psprimes._MR_LIMITS[-1], 0)
+def test_is_prime_matches_twelve_bases_near_each_limit(limit, delta):
+    n = limit + delta
+    assert is_prime(n) == _twelve_base_verdict(n)
+
+
 def test_primes_in_range_segmented():
     assert list(primes_in_range(10, 30)) == [11, 13, 17, 19, 23, 29]
+    primes = prime_array(0, 30)
+    assert primes.dtype == np.uint64 and primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     want = [int(p) for p in primes_up_to(10**5) if p > 10**4]
     got = list(primes_in_range(10**4, 10**5, chunk=3000))
     assert got == want

@@ -269,3 +269,34 @@ def test_jacobi_column_validation():
         with pytest.raises(PreconditionViolated):
             jacobi_column(s, [5])
     assert jacobi_column(5, []).size == 0
+
+
+# -- prime numerators from rows ------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 8191, 65537, 262139, 262147, 2**61 - 1]),
+    st.lists(st.one_of(st.integers(0, _U64 >> 1).map(lambda k: 2 * k + 1),
+                       st.integers(0, 10**6).map(lambda k: 2 * k + 1)), max_size=40),
+)
+def test_symbol_bits_match_the_column(q, ns):
+    # odd moduli of any kind, multiples of q included, before and after q
+    # has earned its row (a row is earned by serving q/8 moduli in all)
+    residues._JACOBI_ROWS.clear()
+    ns = np.array(ns + [q * k for k in (1, 3, 5) if q > 2 and q * k < _U64], dtype=np.uint64)
+    want = (jacobi_column(q, ns) < 0).tolist()
+    try:
+        assert residues.symbol_bits(q, ns).tolist() == want
+        residues.symbol_bits(q, np.ones(min(q // 8 + 1, 1 << 16), dtype=np.uint64))
+        assert (q in residues._JACOBI_ROWS.rows) == (2 < q <= residues.ROW_BUDGET >> 4)
+        assert residues.symbol_bits(q, ns).tolist() == want
+    finally:
+        residues._JACOBI_ROWS.clear()
+
+
+def test_symbol_bits_validation():
+    with pytest.raises(EvenModulus):
+        residues.symbol_bits(3, np.array([5, 10], dtype=np.uint64))
+    with pytest.raises(NotPrime):
+        residues.symbol_bits(9, np.array([5], dtype=np.uint64))
+    assert residues.symbol_bits(3, np.array([], dtype=np.uint64)).size == 0
