@@ -2,16 +2,21 @@
 
 Sources: exact PS-prime streams, plain primes from a segmented sieve, or an
 ingested prime-list file (one decimal prime per line, ascending, '#' comments).
-Work is split into fixed n-blocks (at most MAX_BLOCKS of them) merged in block
-order, so reports are byte-identical for any thread count.
+Work is split into fixed n-blocks (at most MAX_BLOCKS of them, each of at most
+MAX_BLOCK_SIZE n or primes) merged in block order, so reports are
+byte-identical for any thread count. Every block hands its primes to the
+histogram as one uint64 array: psprimes.ps_prime_array's floors, a segment
+sieve's primes, or a slice of the file.
 
-Symbols come from the set's odd-exponent prime basis, factored once per
-census: (s/p) = -1 exactly when an odd number of the primes q dividing s to an
-odd power have (q/p) = -1. Each block takes one residues.symbol_bits column per
-basis prime and XORs it into the pattern mask of every element that q divides
-to an odd power. Every mask is therefore a sum of columns of the exponent
-matrix, so patterns outside the prediction's support (its structural zeros)
-cannot be counted. A prime dividing any element, or p = 2, is skipped.
+Symbols come from the set's odd-exponent prime basis, read off the
+factorizations the square-subset family already holds, so each element is
+factored once per census: (s/p) = -1 exactly when an odd number of the primes
+q dividing s to an odd power have (q/p) = -1. Each block takes one
+residues.symbol_bits column per basis prime and XORs it into the pattern mask
+of every element that q divides to an odd power. Every mask is therefore a
+sum of columns of the exponent matrix, so patterns outside the prediction's
+support (its structural zeros) cannot be counted. A prime dividing any
+element, or p = 2, is skipped.
 """
 
 from __future__ import annotations
@@ -26,15 +31,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
-from .kernels import _mask_key, factorize
+from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
     _SIEVE_VALUE_CAP,
+    BLOCK_SIZE,
     PsPrimeRange,
     RationalExponent,
     is_prime,
     prime_array,
-    ps_primes_in,
+    ps_prime_array,
 )
 from .residues import symbol_bits
 
@@ -42,10 +48,12 @@ PS_PRIMES = "PS_PRIMES"
 ALL_PRIMES = "ALL_PRIMES"
 FILE = "FILE"
 
-DEFAULT_BLOCK = 1 << 16
 # blocks one window may be split into: the task list (~200 bytes a block) and,
 # with a pool, one future per block are built before the first block runs
 MAX_BLOCKS = 1 << 16
+# n (or primes) per block: a PS block holds ~40 bytes per n, an ALL_PRIMES
+# block one sieve byte per n
+MAX_BLOCK_SIZE = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,7 @@ class CensusConfig:
     hi: int | None = None
     source: str = PS_PRIMES
     prime_file: str | None = None
-    block_size: int = DEFAULT_BLOCK
+    block_size: int = BLOCK_SIZE
     threads: int = 1
 
     def window(self) -> tuple[int, int]:
@@ -167,7 +175,7 @@ def write_prime_file(path: str, primes: Iterable[int], comment: str | None = Non
 
 @dataclass(frozen=True)
 class _Basis:
-    """The factorizations a census needs, taken once per run.
+    """The set's factorizations, as a census needs them.
 
     flips: (q, positions) for each prime q dividing some element to an odd
     power, ascending in q; bit i of positions is set when q divides element i
@@ -178,11 +186,11 @@ class _Basis:
     divisors: tuple[int, ...]
 
 
-def _basis(elements: Sequence[int]) -> _Basis:
+def _basis(family: SquareSubsetFamily) -> _Basis:
     flips: dict[int, int] = {}
     divisors: set[int] = set()
-    for i, s in enumerate(elements):
-        for q, e in factorize(s).factors:
+    for i, factors in enumerate(family.factored):
+        for q, e in factors:
             divisors.add(q)
             if e & 1:
                 flips[q] = flips.get(q, 0) | 1 << i
@@ -204,21 +212,17 @@ def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
     kind, basis, payload = task
     if kind == FILE:
         return _count_patterns(basis, payload)
-    num, den, lo, hi = payload
-    if kind == ALL_PRIMES:
-        primes = prime_array(lo, hi)
-    else:
-        rng = PsPrimeRange(RationalExponent(num, den), lo, hi)
-        primes = np.fromiter((p for _, p in ps_primes_in(rng)), dtype=np.uint64)
+    c, lo, hi = payload
+    primes = prime_array(lo, hi) if kind == ALL_PRIMES else ps_prime_array(c, lo, hi)[1]
     return _count_patterns(basis, primes)
 
 
-def _block_tasks(config: CensusConfig) -> list[tuple]:
+def _block_tasks(config: CensusConfig, family: SquareSubsetFamily) -> list[tuple]:
+    basis = _basis(family)
     if config.source == FILE:
         if config.prime_file is None:
             raise PreconditionViolated("FILE source needs a prime_file path")
         primes = np.array(read_prime_file(config.prime_file), dtype=np.uint64)
-        basis = _basis(config.elements)
         step = config.block_size
         return [
             (FILE, basis, primes[i : i + step]) for i in range(0, primes.size, step)
@@ -235,10 +239,8 @@ def _block_tasks(config: CensusConfig) -> list[tuple]:
             f"the window spans {blocks} blocks of {config.block_size} n; the budget is "
             f"{MAX_BLOCKS} blocks (a larger block size covers a wider window)"
         )
-    basis = _basis(config.elements)
-    payload = (config.exponent.num, config.exponent.den)
     return [
-        (config.source, basis, payload + (b_lo, min(b_lo + config.block_size, hi)))
+        (config.source, basis, (config.exponent, b_lo, min(b_lo + config.block_size, hi)))
         for b_lo in range(lo, hi, config.block_size)
     ]
 
@@ -251,6 +253,8 @@ def run_census(config: CensusConfig) -> CensusReport:
         raise PreconditionViolated(f"unknown source {config.source!r}")
     if config.block_size < 1 or config.threads < 1:
         raise PreconditionViolated("block_size and threads must be positive")
+    if config.block_size > MAX_BLOCK_SIZE:
+        raise Overflow(f"block_size is capped at {MAX_BLOCK_SIZE}, got {config.block_size}")
 
     prediction = parity_analysis(config.elements)
 
@@ -262,7 +266,7 @@ def run_census(config: CensusConfig) -> CensusReport:
                 f"x = {config.x} does not exceed prod(S)**gamma for S = {config.elements}"
             )
 
-    tasks = _block_tasks(config)
+    tasks = _block_tasks(config, prediction.family)
     if config.threads == 1:
         partials = map(_census_block, tasks)
     else:

@@ -40,7 +40,7 @@ from .expsums import (
 )
 from .kernels import square_subset_family
 from .predict import parity_analysis, qr_count_asymptotic
-from .psprimes import PsPrimeRange, RationalExponent, ps_primes_in
+from .psprimes import BLOCK_SIZE, PsPrimeRange, RationalExponent, ps_primes_in
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=("ps", "all"), default="ps")
     p.add_argument("--prime-file", help="ingest this prime list instead of generating")
     p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--block-size", type=int, default=1 << 16)
+    p.add_argument("--block-size", type=int, default=BLOCK_SIZE)
     p.add_argument("--csv", action="store_true", help="CSV report instead of JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)

@@ -10,7 +10,7 @@ Subset indicators are packed into ints, bit i = position i of the input list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -150,6 +150,8 @@ class SquareSubsetFamily:
 
     kernel_basis spans the subset-indicator kernel; family_count = 2**kernel_dim - 1
     and parity_sum is the signed subset count sum((-1)**|T|) over the family.
+    factored holds each element's (prime, exponent) pairs when the family was
+    built by factoring (not serialised; None for the brute-force oracle).
     """
 
     elements: tuple[int, ...]
@@ -159,6 +161,7 @@ class SquareSubsetFamily:
     parity_sum: int
     kernel_basis: tuple[int, ...]
     members: tuple[tuple[int, ...], ...] | None
+    factored: tuple[tuple[tuple[int, int], ...], ...] | None = field(default=None, repr=False)
 
     def member_masks(self) -> Iterator[int]:
         """Every nonzero kernel vector, by Gray-code walk over the basis."""
@@ -234,7 +237,7 @@ def square_subset_family(S: Iterable[int]) -> SquareSubsetFamily:
 
     # joint basis: union of odd-exponent primes, ascending
     odd_primes: set[int] = set()
-    factored = [factorize(s).factors for s in elements]
+    factored = tuple(factorize(s).factors for s in elements)
     for factors in factored:
         odd_primes.update(p for p, e in factors if e & 1)
     col = {p: i for i, p in enumerate(sorted(odd_primes))}
@@ -274,6 +277,7 @@ def square_subset_family(S: Iterable[int]) -> SquareSubsetFamily:
         parity_sum=parity_sum,
         kernel_basis=tuple(kernel_basis),
         members=members,
+        factored=factored,
     )
 
 

@@ -41,7 +41,8 @@ _POW_BIT_BUDGET = 1 << 21     # cap on bits of n**num intermediates
 
 _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
-_FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified band (_ps_block)
+_FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified band (ps_prime_array)
+_BELOW_2_64 = 2.0**64 - 2.0**11  # largest float below 2**64
 
 
 def is_prime(m: int) -> bool:
@@ -259,18 +260,18 @@ BLOCK_SIZE = 1 << 16
 def ps_primes_in(rng: PsPrimeRange, block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, int]]:
     """Yield (n, floor(n**c)) for rng.lo < n <= rng.hi where the floor is prime.
 
-    Processed in fixed n-blocks so range censuses can partition work
-    deterministically; ascending in n.
+    Processed in fixed n-blocks of ps_prime_array; ascending in n.
     """
     if block_size < 1:
         raise PreconditionViolated("block_size must be positive")
     for b_lo in range(rng.lo, rng.hi, block_size):
-        b_hi = min(b_lo + block_size, rng.hi)
-        yield from _ps_block(rng.exponent, b_lo, b_hi)
+        ns, floors = ps_prime_array(rng.exponent, b_lo, min(b_lo + block_size, rng.hi))
+        yield from zip(ns.tolist(), floors.tolist())
 
 
-def _ps_block(c: RationalExponent, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """One block of the stream: n in (lo, hi].
+def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n in (lo, hi] whose floor(n**c) is prime, and those floors, as two
+    ascending uint64 arrays; 1 <= lo < hi with floor(hi**c) < PRIME_BUDGET.
 
     At c = 1 the floors are n itself. Otherwise the block takes float floors
     for the whole block, and exact integer roots only for the n whose float
@@ -301,44 +302,33 @@ def _ps_block(c: RationalExponent, lo: int, hi: int) -> Iterator[tuple[int, int]
     a, b = c.num, c.den
     n0 = lo + 1
     if a == b:
-        m_lo, m_hi = n0, hi  # the floors are n itself
+        floors = np.arange(n0, hi + 1, dtype=np.uint64)
     else:
-        m_lo = floor_pow(n0, c)
-        m_hi = floor_pow(hi, c)
         f = np.arange(hi - lo, dtype=np.float64)
         f += float(n0)
         np.power(f, a / b, out=f)
-        floors = np.floor(f)
-        np.subtract(f, floors, out=f)
+        mf = np.floor(f)
+        np.subtract(f, mf, out=f)
         np.minimum(f, 1.0 - f, out=f)
-        band = f <= floors * _FLOAT_GUARD
+        band = f <= mf * _FLOAT_GUARD
         del f
         # a cheap check that libm keeps within the allowance above
-        for i, exact in ((0, m_lo), (-1, m_hi)):
-            if not band[i] and floors[i] != exact:
+        for i, exact in ((0, floor_pow(n0, c)), (-1, floor_pow(hi, c))):
+            if not band[i] and mf[i] != exact:
                 raise CheckFailed(
-                    f"float pow gives floor {int(floors[i])} where the exact floor is {exact}"
+                    f"float pow gives floor {int(mf[i])} where the exact floor is {exact}"
                 )
+        # a float floor may round up to 2**64; clamped ones lie in the band
+        floors = np.minimum(mf, _BELOW_2_64, out=mf).astype(np.uint64)
+        del mf
+        for i in np.flatnonzero(band).tolist():
+            floors[i] = integer_nth_root((n0 + i) ** a, b, int(floors[i]))
 
+    m_lo, m_hi = int(floors[0]), int(floors[-1])
     if m_hi - m_lo <= _SIEVE_WIDTH_CAP and m_hi <= _SIEVE_VALUE_CAP:
-        if a == b:
-            ms = np.arange(hi - lo, dtype=np.int64)
-        else:
-            ms = floors.astype(np.int64)
-            del floors
-            for i in np.flatnonzero(band).tolist():
-                ms[i] = integer_nth_root((n0 + i) ** a, b, int(ms[i]))
-            ms -= m_lo
-        for i in np.flatnonzero(_segment_is_prime(m_lo, m_hi)[ms]).tolist():
-            yield (n0 + i, m_lo + int(ms[i]))
+        # an int64 view of floors below 2**44 indexes without numpy's uint64 cast
+        prime = _segment_is_prime(m_lo, m_hi)[floors.view(np.int64) - m_lo]
     else:
-        # floors here may pass 2**63 (those all lie in the band)
-        for i in range(hi - lo):
-            if a == b:
-                m = n0 + i
-            else:
-                m = int(floors[i])
-                if band[i]:
-                    m = integer_nth_root((n0 + i) ** a, b, m)
-            if is_prime(m):
-                yield (n0 + i, m)
+        prime = np.fromiter(map(is_prime, floors.tolist()), dtype=bool, count=floors.size)
+    keep = np.flatnonzero(prime)
+    return keep.astype(np.uint64) + np.uint64(n0), floors[keep]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from psqr import census, residues
+from psqr import census, kernels, residues
 from psqr.census import (
     ALL_PRIMES,
     FILE,
@@ -73,6 +73,23 @@ def test_census_block_size_invariance():
     a = run_census(base).to_json()
     b = run_census(dataclasses.replace(base, block_size=977)).to_json()
     assert a == b
+
+
+def test_census_factors_each_element_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    for module in (census, kernels, residues):
+        monkeypatch.setattr(module, "factorize", counting, raising=False)
+    elements = (6, 10, 15)
+    for source in (PS_PRIMES, ALL_PRIMES):
+        calls.clear()
+        run_census(CensusConfig(elements=elements, x=1000, source=source))
+        # symbol rows factor their modulus, a basis prime, never an element
+        assert sorted(n for n in calls if n in elements) == list(elements)
 
 
 def test_ps_source_equals_all_primes_at_c_one():
@@ -323,7 +340,7 @@ def test_basis_histogram_matches_jacobi_columns(case):
     if budget is not None:
         residues.ROW_BUDGET = budget
     try:
-        basis = census._basis(elements)
+        basis = census._basis(square_subset_family(elements))
         total = skipped = 0
         counts: dict[int, int] = {}
         for i in range(0, primes.size, block):  # rows are earned across blocks

@@ -112,9 +112,21 @@ def test_census_wide_window_exit_4_before_planning(capsys):
 def test_census_block_budget_boundary():
     top = census.MAX_BLOCKS + 1
     config = census.CensusConfig(elements=(2, 3), lo=1, hi=top, block_size=1)
-    assert len(census._block_tasks(config)) == census.MAX_BLOCKS
+    family = kernels.square_subset_family(config.elements)
+    assert len(census._block_tasks(config, family)) == census.MAX_BLOCKS
     with pytest.raises(psqr.Overflow):
-        census._block_tasks(dataclasses.replace(config, hi=top + 1))
+        census._block_tasks(dataclasses.replace(config, hi=top + 1), family)
+
+
+@pytest.mark.parametrize("source", ["ps", "all"])
+def test_census_block_size_cap_exit_4(capsys, source):
+    cap = census.MAX_BLOCK_SIZE
+    argv = ["census", "2,3", "--source", source, "--range", "1,100", "--threads", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--block-size", str(cap))
+    assert code == 0 and json.loads(out)["total_primes"] == 25
+    code, out, err = run_cli(capsys, *argv, "--block-size", str(cap + 1))
+    assert code == 4 and out == ""
+    assert f"capped at {cap}" in err
 
 
 @pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])

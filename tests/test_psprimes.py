@@ -314,6 +314,13 @@ _differential = settings(max_examples=100, deadline=None, suppress_health_check=
 @example((RationalExponent(11, 10), 610_000, 610_100, 64))
 @example((RationalExponent(243, 205), 66_000, 66_060, 25))
 @example((RationalExponent(1, 1), (1 << 63) - 20, (1 << 63) + 20, 7))
+# windows ending at the budget: floors next to 2**64, whose float powers may
+# round up to 2**64 before the clamp and the uint64 cast
+@example((RationalExponent(1, 1), _n_max(RationalExponent(1, 1)) - 30, _n_max(RationalExponent(1, 1)), 11))
+@example((RationalExponent(255, 254), _n_max(RationalExponent(255, 254)) - 30,
+          _n_max(RationalExponent(255, 254)), 11))
+@example((RationalExponent(11, 10), _n_max(RationalExponent(11, 10)) - 30, _n_max(RationalExponent(11, 10)), 11))
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on a float cast out of range
 def test_ps_block_matches_oracle(case):
     c, lo, hi, block = case
     assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
@@ -341,6 +348,9 @@ def test_ps_block_across_the_sieve_cap(c, before, after):
     assert floor_pow(lo + 1, c) <= _SIEVE_VALUE_CAP < floor_pow(hi, c)
     got = list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=before + after + 1))
     assert got == _oracle(c, lo, hi)
+    ns, floors = psprimes.ps_prime_array(c, lo, hi)
+    assert ns.dtype == floors.dtype == np.uint64
+    assert list(zip(ns.tolist(), floors.tolist())) == got
 
 
 @_differential
