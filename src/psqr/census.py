@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,10 +37,11 @@ from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
     _SIEVE_VALUE_CAP,
     BLOCK_SIZE,
+    PRIME_BUDGET,
     PsPrimeRange,
     RationalExponent,
-    is_prime,
     prime_array,
+    prime_flags,
     ps_prime_array,
 )
 from .residues import symbol_bits
@@ -137,24 +139,40 @@ class CensusReport:
 # -- prime-list files ---------------------------------------------------------
 
 def read_prime_file(path: str) -> tuple[int, ...]:
-    """Load a prime-list file; every entry is primality-checked on ingest."""
-    primes: list[int] = []
+    """Load a prime-list file; every entry is primality-checked on ingest.
+
+    Entries are ASCII decimal integers below 2**64, strictly ascending. The
+    file is parsed up to its first malformed line, then the parsed entries
+    are checked by one prime_flags call; the earliest bad line is reported.
+    """
+    primes, lines = array("Q"), array("Q")  # entries and their line numbers, unboxed
+    error: Exception | None = None
     last = 0
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                p = int(line)
-            except ValueError:
-                raise BadPrimeFile(f"{path}:{ln}: not an integer: {line!r}") from None
+            if not (line.isascii() and line.isdigit()):
+                error = BadPrimeFile(f"{path}:{ln}: not a decimal integer: {line!r}")
+                break
+            # 2**64 has 20 digits; a longer line is not handed to int()
+            p = int(line) if len(line.lstrip("0")) <= 20 else PRIME_BUDGET
+            if p >= PRIME_BUDGET:
+                error = Overflow(f"{path}:{ln}: entry exceeds the 2**64 prime budget")
+                break
             if p <= last:
-                raise BadPrimeFile(f"{path}:{ln}: entries must be strictly ascending")
-            if not is_prime(p):
-                raise BadPrimeFile(f"{path}:{ln}: {p} is not prime")
+                error = BadPrimeFile(f"{path}:{ln}: entries must be strictly ascending")
+                break
             primes.append(p)
+            lines.append(ln)
             last = p
+    composite = np.flatnonzero(~prime_flags(np.frombuffer(primes, dtype=np.uint64)))
+    if composite.size:
+        k = int(composite[0])
+        raise BadPrimeFile(f"{path}:{lines[k]}: {primes[k]} is not prime")
+    if error is not None:
+        raise error
     return tuple(primes)
 
 

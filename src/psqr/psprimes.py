@@ -43,6 +43,15 @@ _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
 _FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified band (ps_prime_array)
 _BELOW_2_64 = 2.0**64 - 2.0**11  # largest float below 2**64
+# values prime_flags tests by batched Miller-Rabin (_mulmod's range); prime_flags
+# searches its uint64 values only with uint64 keys, which numpy compares
+# without first casting the whole array
+_MR_BATCH = np.array((38, 1 << 53), dtype=np.uint64)
+_MR_CHUNK = 1 << 14           # values per batched Miller-Rabin chunk, bounding its temporaries
+# fewest values left after trial division that a chunk tests as arrays: each
+# batched base costs 0.5-4 ms of numpy calls at any size, and is_prime ~12 us a
+# pow near 2**50, so they cross at ~100 primes or ~300 random survivors
+_MR_MIN_BATCH = 1 << 8
 
 
 def is_prime(m: int) -> bool:
@@ -120,6 +129,119 @@ def primes_in_range(lo: int, hi: int, chunk: int = 1 << 22) -> Iterator[int]:
     """Primes p with lo < p <= hi, ascending, one prime_array per chunk."""
     for pos in range(lo, hi, chunk):
         yield from prime_array(pos, min(pos + chunk, hi)).tolist()
+
+
+# -- batched primality -------------------------------------------------------
+
+def prime_flags(values: np.ndarray) -> np.ndarray:
+    """is_prime of each entry of an ascending uint64 array, as a bool array.
+
+    Each entry takes one of three tiers, by value and density:
+
+    1. Dense runs: the entries up to _SIEVE_VALUE_CAP are cut into greedy runs
+       no wider than _SIEVE_WIDTH_CAP. A run is one _segment_is_prime lookup
+       when it holds at least as many entries as the sieve has base primes,
+       bounded without building them by pi(x) < 1.25506 x / ln x, x > 1
+       (Rosser and Schoenfeld, Illinois J. Math. 6 (1962), Cor. 1) at
+       x = isqrt(hi). A sparser run is tested entry by entry below.
+    2. Entries in [38, 2**53): batched Miller-Rabin, _MR_CHUNK values at a
+       time (_miller_rabin), with the bases is_prime would use; a chunk
+       with fewer than _MR_MIN_BATCH values left after vectorised trial
+       division hands them to is_prime, which is then faster. The float
+       only guesses each modular product's quotient, and integer arithmetic
+       certifies the remainder (_mulmod): for a, b < m < 2**53, fl(a), fl(b)
+       and fl(m) are exact, and the product and the quotient are rounded
+       once each, so fl(a) fl(b) / fl(m) = (ab/m)(1 + e), |e| <= 2**-52 +
+       2**-106. As ab/m <= (m - 1)**2 / m < m - 1 < 2**53 - 1, that is
+       within 2 of ab/m, and its floor q within 3. Then t = ab - qm =
+       m(ab/m - q) has |t| < 3m < 2**63, so t computed in wrapping uint64
+       and read as int64 is exact, and t mod m is the residue.
+    3. The rest (below 38, where an entry may be a base, or from 2**53):
+       is_prime.
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    if (values[1:] < values[:-1]).any():
+        raise PreconditionViolated("prime_flags needs an ascending array")
+    flags = np.zeros(values.size, dtype=bool)
+    pending = np.ones(values.size, dtype=bool)
+    capped = values[: int(np.searchsorted(values, np.uint64(_SIEVE_VALUE_CAP), side="right"))]
+    i = 0
+    while i < capped.size:
+        lo = int(capped[i])
+        j = int(np.searchsorted(capped, np.uint64(lo + _SIEVE_WIDTH_CAP), side="right"))
+        hi = int(capped[j - 1])
+        root = math.isqrt(hi)
+        if root > 1 and j - i >= 1.25506 * root / math.log(root):
+            # an int64 view of values below 2**44 indexes without numpy's uint64 cast
+            flags[i:j] = _segment_is_prime(lo, hi)[capped[i:j].view(np.int64) - lo]
+            pending[i:j] = False
+        i = j
+    if not pending.any():
+        return flags
+    b_lo, b_hi = np.searchsorted(values, _MR_BATCH).tolist()
+    for k in range(b_lo, b_hi, _MR_CHUNK):
+        chunk = k + np.flatnonzero(pending[k : min(k + _MR_CHUNK, b_hi)])
+        if chunk.size:
+            flags[chunk] = _miller_rabin(values[chunk])
+    pending[b_lo:b_hi] = False
+    for k in np.flatnonzero(pending).tolist():
+        flags[k] = is_prime(int(values[k]))
+    return flags
+
+
+_MR_LIMIT_ARRAY = np.array(_MR_LIMITS, dtype=np.uint64)
+_MR_COUNT_ARRAY = np.array(_MR_COUNTS)
+
+
+def _miller_rabin(m: np.ndarray) -> np.ndarray:
+    """is_prime over a uint64 array of values in [38, 2**53): trial division by
+    the 12 bases (each below every value), then each value's first _MR_COUNTS
+    bases, as is_prime runs them; each base runs only on the values no
+    earlier base has ruled out. Fewer than _MR_MIN_BATCH values left after
+    trial division go to is_prime one by one."""
+    prime = np.ones(m.size, dtype=bool)
+    for p in _MR_BASES:
+        prime &= m % np.uint64(p) != 0
+    live = np.flatnonzero(prime)
+    if live.size < _MR_MIN_BATCH:
+        prime[live] = [is_prime(v) for v in m[live].tolist()]
+        return prime
+    counts = _MR_COUNT_ARRAY[np.searchsorted(_MR_LIMIT_ARRAY, m, side="right")]
+    for k, a in enumerate(_MR_BASES):
+        live = np.flatnonzero(prime & (counts > k))
+        if not live.size:
+            break
+        prime[live] = _strong_probable_prime(m[live], a)
+    return prime
+
+
+def _strong_probable_prime(m: np.ndarray, a: int) -> np.ndarray:
+    """Whether each odd m in (a, 2**53) is a strong probable prime to base a."""
+    one = np.uint64(1)
+    m1 = m - one
+    # m - 1 = d * 2**s; frexp reads s off the lowest set bit exactly
+    s = np.frexp((m1 & (~m1 + one)).astype(np.float64))[1] - 1
+    d = m1 >> s.astype(np.uint64)
+    mf = m.astype(np.float64)
+    x = np.ones_like(m)
+    base = np.uint64(a)
+    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+        x = _mulmod(x, x, m, mf)
+        odd = (d >> np.uint64(bit)) & one != 0
+        x = np.where(odd, x * base % m, x)  # x * a < 37 * 2**53 < 2**64: exact
+    ok = (x == one) | (x == m1)
+    for r in range(1, int(s.max())):
+        x = _mulmod(x, x, m, mf)
+        ok |= (x == m1) & (s > r)
+    return ok
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, m: np.ndarray, mf: np.ndarray) -> np.ndarray:
+    """a * b mod m, exactly, for uint64 arrays with a, b < m < 2**53; mf = fl(m).
+    The bound that makes it exact is derived in prime_flags."""
+    q = (a.astype(np.float64) * b.astype(np.float64) / mf).astype(np.uint64)  # floor: >= 0
+    t = (a * b - q * m).view(np.int64)
+    return np.remainder(t, m.view(np.int64)).view(np.uint64)
 
 
 # -- exact roots and floors --------------------------------------------------
@@ -296,8 +418,9 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
     with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf >= 2**39 falls
     in the band, and there the float floor only seeds the exact root.
 
-    Primality of the floors is one lookup into a segment sieve when they stay
-    within _SIEVE_VALUE_CAP and _SIEVE_WIDTH_CAP, else Miller-Rabin per floor.
+    The floors ascend, and prime_flags decides their primality: a block of
+    dense floors below _SIEVE_VALUE_CAP is one segment-sieve lookup, and
+    sparse or larger floors take batched or scalar Miller-Rabin.
     """
     a, b = c.num, c.den
     n0 = lo + 1
@@ -324,11 +447,5 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
         for i in np.flatnonzero(band).tolist():
             floors[i] = integer_nth_root((n0 + i) ** a, b, int(floors[i]))
 
-    m_lo, m_hi = int(floors[0]), int(floors[-1])
-    if m_hi - m_lo <= _SIEVE_WIDTH_CAP and m_hi <= _SIEVE_VALUE_CAP:
-        # an int64 view of floors below 2**44 indexes without numpy's uint64 cast
-        prime = _segment_is_prime(m_lo, m_hi)[floors.view(np.int64) - m_lo]
-    else:
-        prime = np.fromiter(map(is_prime, floors.tolist()), dtype=bool, count=floors.size)
-    keep = np.flatnonzero(prime)
+    keep = np.flatnonzero(prime_flags(floors))
     return keep.astype(np.uint64) + np.uint64(n0), floors[keep]

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,9 +22,22 @@ from psqr.census import (
     run_census,
     write_prime_file,
 )
-from psqr.errors import BadPrimeFile, PreconditionViolated, SetTooLarge, WindowTooSmall
+from psqr.errors import (
+    BadPrimeFile,
+    Overflow,
+    PreconditionViolated,
+    SetTooLarge,
+    WindowTooSmall,
+)
 from psqr.kernels import _mask_key, factorize, square_subset_family
-from psqr.psprimes import PsPrimeRange, RationalExponent, prime_array, ps_primes_in
+from psqr.psprimes import (
+    _SIEVE_VALUE_CAP,
+    PsPrimeRange,
+    RationalExponent,
+    integer_nth_root,
+    prime_array,
+    ps_primes_in,
+)
 from psqr.residues import jacobi_column
 
 C1 = RationalExponent(1, 1)
@@ -98,14 +113,34 @@ def test_ps_source_equals_all_primes_at_c_one():
     assert ps.to_json() == al.to_json()
 
 
-def test_file_round_trip(tmp_path):
-    rng = PsPrimeRange(C11, 10**4, 2 * 10**4)
-    path = tmp_path / "ps.txt"
-    write_prime_file(str(path), (p for _, p in ps_primes_in(rng)), comment="round trip")
-    direct = run_census(CensusConfig(elements=(2, 3), exponent=C11, x=10**4))
-    ingested = run_census(
-        CensusConfig(elements=(2, 3), exponent=C11, source=FILE, prime_file=str(path))
-    )
+@st.composite
+def file_windows(draw):
+    """(c, lo, hi): n-windows whose floors lie below 2**44, across it, or above 2**52."""
+    c = draw(st.sampled_from((C1, C11, RationalExponent(243, 205))))
+    target = draw(st.sampled_from((
+        st.integers(1 << 10, _SIEVE_VALUE_CAP),
+        st.just(_SIEVE_VALUE_CAP),
+        st.integers(1 << 52, 1 << 63),
+    )).flatmap(lambda s: s))
+    n = integer_nth_root(target**c.den, c.num)
+    lo = max(1, n - draw(st.integers(0, 300)))
+    return c, lo, lo + draw(st.integers(1, 600))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(file_windows())
+@example((C11, 10**4, 2 * 10**4))
+def test_file_round_trip(window):
+    # a FILE census of what psprimes writes reads back the PS census's bytes
+    c, lo, hi = window
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ps.txt")
+        primes = (p for _, p in ps_primes_in(PsPrimeRange(c, lo, hi)))
+        write_prime_file(path, primes, comment="round trip")
+        direct = run_census(CensusConfig(elements=(2, 3), exponent=c, lo=lo, hi=hi))
+        ingested = run_census(
+            CensusConfig(elements=(2, 3), exponent=c, source=FILE, prime_file=path)
+        )
     assert direct.to_json() == ingested.to_json()
 
 
@@ -128,6 +163,37 @@ def test_prime_file_validation(tmp_path):
     junk.write_text("11\ntwelve\n")
     with pytest.raises(BadPrimeFile):
         read_prime_file(str(junk))
+
+
+@pytest.mark.parametrize("body, error, message", [
+    # only ASCII decimal digits, as in a CLI set
+    ("11\n+13\n", BadPrimeFile, ":2: not a decimal integer"),
+    ("11\n1_3\n", BadPrimeFile, ":2: not a decimal integer"),
+    ("11\n\u0661\u0663\n", BadPrimeFile, ":2: not a decimal integer"),
+    ("11\n-13\n", BadPrimeFile, ":2: not a decimal integer"),
+    # 2**64 and beyond: a budget, not a primality verdict
+    (f"11\n{1 << 64}\n", Overflow, ":2: entry exceeds the 2**64"),
+    (f"11\n{'9' * 5000}\n", Overflow, ":2: entry exceeds the 2**64"),
+    (f"11\n{(1 << 64) - 59}\n", None, None),  # the largest prime below 2**64
+    ("11\n0000013\n", None, None),
+    # the earliest bad line wins
+    ("11\n15\ntwelve\n", BadPrimeFile, ":2: 15 is not prime"),
+    ("11\n15\n13\n", BadPrimeFile, ":2: 15 is not prime"),
+    (f"11\n15\n{1 << 64}\n", BadPrimeFile, ":2: 15 is not prime"),
+    ("# head\n11\n\n13\n21\n25\n", BadPrimeFile, ":5: 21 is not prime"),
+    ("11\ntwelve\n15\n", BadPrimeFile, ":2: not a decimal integer"),
+    ("13\n11\n15\n", BadPrimeFile, ":2: entries must be strictly ascending"),
+    (f"11\n{1 << 64}\n15\n", Overflow, ":2: entry exceeds the 2**64"),
+])
+def test_prime_file_rejects_the_earliest_bad_line(tmp_path, body, error, message):
+    path = tmp_path / "primes.txt"
+    path.write_text(body, encoding="utf-8")
+    if error is None:
+        assert read_prime_file(str(path))[-1] == int(body.split()[-1])
+        return
+    with pytest.raises(error) as info:
+        read_prime_file(str(path))
+    assert f"{path}{message}" in str(info.value)
 
 
 def test_window_validation():

@@ -162,6 +162,15 @@ def test_psprimes_output_and_round_trip(tmp_path, capsys):
     assert direct == ingested
 
 
+@pytest.mark.parametrize("entry, code", [(str(1 << 64), 4), ("+13", 2), ("15", 2)])
+def test_census_prime_file_bad_entry_exit_code(tmp_path, capsys, entry, code):
+    path = tmp_path / "primes.txt"
+    path.write_text(f"11\n{entry}\n")
+    got, out, err = run_cli(capsys, "census", "2,3", "--prime-file", str(path))
+    assert (got, out) == (code, "")
+    assert f"{path}:2:" in err and "Traceback" not in err
+
+
 def test_psprimes_examples(capsys):
     code, out, _ = run_cli(capsys, "psprimes", "--c", "1", "--range", "10,20")
     assert code == 0

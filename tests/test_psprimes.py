@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from psqr.psprimes import (
     is_prime,
     is_ps_prime,
     prime_array,
+    prime_flags,
     primes_in_range,
     primes_up_to,
     ps_primes_in,
@@ -286,7 +288,12 @@ def _oracle(c, lo, hi):
 
 def _n_max(c):
     """Largest n whose floor stays within the prime budget."""
-    return integer_nth_root((PRIME_BUDGET - 1) ** c.den, c.num)
+    return _n_at(PRIME_BUDGET, c)
+
+
+def _n_at(value, c):
+    """Largest n with n**c <= value - 1, so floor(n**c) < value."""
+    return integer_nth_root((value - 1) ** c.den, c.num)
 
 
 @st.composite
@@ -320,10 +327,15 @@ _differential = settings(max_examples=100, deadline=None, suppress_health_check=
 @example((RationalExponent(255, 254), _n_max(RationalExponent(255, 254)) - 30,
           _n_max(RationalExponent(255, 254)), 11))
 @example((RationalExponent(11, 10), _n_max(RationalExponent(11, 10)) - 30, _n_max(RationalExponent(11, 10)), 11))
+# blocks whose floors cross 2**53: batched Miller-Rabin below it, is_prime from it
+@example((RationalExponent(1, 1), (1 << 53) - 40, (1 << 53) + 40, 80))
+@example((RationalExponent(11, 10), _n_at(1 << 53, RationalExponent(11, 10)) - 12,
+          _n_at(1 << 53, RationalExponent(11, 10)) + 12, 24))
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on a float cast out of range
 def test_ps_block_matches_oracle(case):
     c, lo, hi, block = case
-    assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
+    with mock.patch.object(psprimes, "_MR_MIN_BATCH", 1):  # batch even a few floors
+        assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
 
 
 @_differential
@@ -392,3 +404,107 @@ def test_ps_block_rejects_a_pow_outside_its_allowance(monkeypatch):
     monkeypatch.setattr(psprimes, "np", _PowOffByOne())
     with pytest.raises(CheckFailed):
         list(ps_primes_in(PsPrimeRange(RationalExponent(11, 10), 610_000, 620_000)))
+
+
+# -- batched primality against is_prime ----------------------------------------
+
+# where prime_flags changes tier: the batched range starts at 38, runs near
+# 2**20 are dense enough to sieve, the sieve stops at 2**44, the batch at 2**53
+_TIER_EDGES = (0, 38, 1 << 20, _SIEVE_VALUE_CAP, 1 << 53, PRIME_BUDGET - 1)
+# Carmichael numbers, the last (6k+1)(12k+1)(18k+1) at k = 15141, near 2**52
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751, 4498600676392369)
+_P_BELOW_2_26_5 = 94906249  # the largest prime p with p**2 < 2**53
+
+
+@st.composite
+def flag_arrays(draw):
+    """Ascending arrays of dense runs (step 1 or 2) and sparse runs, each
+    around a tier edge or anywhere below 2**64."""
+    values = set()
+    for _ in range(draw(st.integers(1, 4))):
+        centre = draw(st.one_of(st.sampled_from(_TIER_EDGES), st.integers(0, PRIME_BUDGET - 1)))
+        if draw(st.booleans()):
+            count, step = draw(st.integers(1, 400)), draw(st.integers(1, 2))
+        else:
+            count, step = draw(st.integers(1, 30)), draw(st.integers(3, 1 << 30))
+        start = centre - draw(st.integers(0, count * step))
+        values.update(range(max(start, 0), min(start + count * step, PRIME_BUDGET), step))
+    return np.array(sorted(values), dtype=np.uint64)
+
+
+def _u64(values):
+    return np.array(sorted(values), dtype=np.uint64)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flag_arrays(), st.sampled_from((psprimes._MR_CHUNK, 1, 7)), st.sampled_from((1, 4)))
+@example(_u64(range(41)), 7, 1)
+@example(_u64(_MR_LIMIT_DIVISORS + psprimes._MR_LIMITS), 1, 1)
+@example(_u64(_CARMICHAEL), 2, 1)
+@example(_u64(_P_BELOW_2_26_5**2 + d for d in (-2, 0, 2)), 7, 1)
+@example(_u64(((1 << 53) - 111, (1 << 53) - 1, (1 << 53) + 1)), 7, 1)
+@example(_u64(range((1 << 53) - 200, (1 << 53) + 200)), 16, 1)  # a dense run across 2**53
+@example(_u64(range(_SIEVE_VALUE_CAP - 200, _SIEVE_VALUE_CAP + 200)), 16, 1)
+@example(_u64(range((1 << 50) - 4000, (1 << 50) + 4000)), psprimes._MR_CHUNK, psprimes._MR_MIN_BATCH)
+def test_prime_flags_matches_is_prime(values, chunk, min_batch):
+    # small chunks cross chunk edges; a small min_batch batches even a few values
+    with mock.patch.multiple(psprimes, _MR_CHUNK=chunk, _MR_MIN_BATCH=min_batch):
+        flags = prime_flags(values)
+    assert flags.dtype == bool
+    assert flags.tolist() == [is_prime(v) for v in values.tolist()]
+
+
+def test_prime_flags_refutes_every_strong_pseudoprime_bound(monkeypatch):
+    # psi_k passes the first k bases; below 2**53 each is batched, not sieved
+    monkeypatch.setattr(psprimes, "_MR_MIN_BATCH", 1)
+    limits = [v for v in psprimes._MR_LIMITS if v < 1 << 53]
+    assert len(limits) == 7
+    assert not prime_flags(_u64(limits)).any()
+
+
+def test_prime_flags_needs_ascending_values():
+    assert prime_flags(_u64([])).size == 0
+    with pytest.raises(PreconditionViolated):
+        prime_flags(np.array([13, 11], dtype=np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, (1 << 53) - 1).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, m - 1), st.integers(0, m - 1))))
+@example(((1 << 53) - 111, (1 << 53) - 112, (1 << 53) - 112))
+@example(((1 << 53) - 1, (1 << 53) - 2, (1 << 52) + 3))
+def test_mulmod_is_exact_below_2_53(case):
+    m, a, b = case
+    arr = lambda v: np.array([v], dtype=np.uint64)  # noqa: E731
+    got = psprimes._mulmod(arr(a), arr(b), arr(m), arr(m).astype(np.float64))
+    assert got.dtype == np.uint64 and int(got[0]) == a * b % m
+
+
+def test_sparse_run_near_2_44_does_not_sieve(monkeypatch):
+    # 200 floors below 2**44 need base primes up to 2**22 to sieve; they are too
+    # few for that, so they take batched Miller-Rabin
+    sieve = psprimes.primes_up_to
+
+    def small_sieve(limit):
+        if limit > 1 << 16:
+            raise AssertionError(f"base primes up to {limit} requested")
+        return sieve(limit)
+
+    monkeypatch.setattr(psprimes, "primes_up_to", small_sieve)
+    c = RationalExponent(11, 10)
+    hi = _n_at(_SIEVE_VALUE_CAP, c)
+    lo = hi - 200
+    assert list(ps_primes_in(PsPrimeRange(c, lo, hi))) == _oracle(c, lo, hi)
+    values = _u64(range(_SIEVE_VALUE_CAP - 1000, _SIEVE_VALUE_CAP + 1))
+    assert prime_flags(values).tolist() == [is_prime(v) for v in values.tolist()]
+
+
+def test_dense_blocks_stay_on_the_sieve(monkeypatch):
+    # a census block at c = 11/10: 2**16 floors near 3e6, one sieve lookup
+    def no_tests(*args):
+        raise AssertionError("a dense block left the sieve")
+
+    monkeypatch.setattr(psprimes, "_miller_rabin", no_tests)
+    monkeypatch.setattr(psprimes, "is_prime", no_tests)
+    ns, floors = psprimes.ps_prime_array(RationalExponent(11, 10), 600_000, 600_000 + (1 << 16))
+    assert floors.size == ns.size > 4000
