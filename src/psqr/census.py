@@ -1,12 +1,13 @@
 """Empirical sign-pattern censuses with predicted-vs-observed comparison.
 
-Sources: exact PS-prime streams, plain primes from a segmented sieve, or an
-ingested prime-list file (one decimal prime per line, ascending, '#' comments).
-Work is split into fixed n-blocks (at most MAX_BLOCKS of them, each of at most
-MAX_BLOCK_SIZE n or primes) merged in block order, so reports are
-byte-identical for any thread count. Every block hands its primes to the
-histogram as one uint64 array: psprimes.ps_prime_array's floors, a segment
-sieve's primes, or a slice of the file.
+Sources: exact PS-prime streams, plain primes, or an ingested prime-list file
+(one decimal prime per line, ascending, '#' comments). Plain primes are the
+PS stream at c = 1, whose floors are n itself, so a window of either source
+is planned and served as PS blocks. Work is split into fixed n-blocks (at
+most MAX_BLOCKS of them, each of at most MAX_BLOCK_SIZE n or primes) merged
+in block order, so reports are byte-identical for any thread count. Every
+block hands its primes to the histogram as one uint64 array:
+psprimes.ps_prime_array's floors, or a slice of the file.
 
 Symbols come from the set's odd-exponent prime basis, read off the
 factorizations the square-subset family already holds, so each element is
@@ -35,12 +36,10 @@ from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, W
 from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
-    _SIEVE_VALUE_CAP,
     BLOCK_SIZE,
     PRIME_BUDGET,
     PsPrimeRange,
     RationalExponent,
-    prime_array,
     prime_flags,
     ps_prime_array,
 )
@@ -53,8 +52,8 @@ FILE = "FILE"
 # blocks one window may be split into: the task list (~200 bytes a block) and,
 # with a pool, one future per block are built before the first block runs
 MAX_BLOCKS = 1 << 16
-# n (or primes) per block: a PS block holds ~40 bytes per n, an ALL_PRIMES
-# block one sieve byte per n
+# n (or primes) per block: a window block (PS primes, or all primes as c = 1)
+# holds ~40 bytes per n
 MAX_BLOCK_SIZE = 1 << 22
 
 
@@ -230,9 +229,7 @@ def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
     kind, basis, payload = task
     if kind == FILE:
         return _count_patterns(basis, payload)
-    c, lo, hi = payload
-    primes = prime_array(lo, hi) if kind == ALL_PRIMES else ps_prime_array(c, lo, hi)[1]
-    return _count_patterns(basis, primes)
+    return _count_patterns(basis, ps_prime_array(*payload)[1])
 
 
 def _block_tasks(config: CensusConfig, family: SquareSubsetFamily) -> list[tuple]:
@@ -246,11 +243,8 @@ def _block_tasks(config: CensusConfig, family: SquareSubsetFamily) -> list[tuple
             (FILE, basis, primes[i : i + step]) for i in range(0, primes.size, step)
         ] or [(FILE, basis, primes)]
     lo, hi = config.window()
-    if config.source == PS_PRIMES:
-        PsPrimeRange(config.exponent, lo, hi)  # validate window and budget up front
-    elif hi > _SIEVE_VALUE_CAP:
-        # the segment sieve's base primes grow with isqrt(hi): refuse before allocating
-        raise Overflow(f"--source all sieves values up to 2**44, got hi = {hi}")
+    c = config.exponent if config.source == PS_PRIMES else RationalExponent(1, 1)
+    PsPrimeRange(c, lo, hi)  # validate window and budget up front
     blocks = -(-(hi - lo) // config.block_size)
     if blocks > MAX_BLOCKS:
         raise Overflow(
@@ -258,7 +252,7 @@ def _block_tasks(config: CensusConfig, family: SquareSubsetFamily) -> list[tuple
             f"{MAX_BLOCKS} blocks (a larger block size covers a wider window)"
         )
     return [
-        (config.source, basis, (config.exponent, b_lo, min(b_lo + config.block_size, hi)))
+        (PS_PRIMES, basis, (c, b_lo, min(b_lo + config.block_size, hi)))
         for b_lo in range(lo, hi, config.block_size)
     ]
 

@@ -19,7 +19,6 @@ import re
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -85,35 +84,16 @@ def _default_threads() -> int:
         return 1
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record emitted with every report."""
-
-    command: str
-    params: dict
-    version: str
-    wall_time_s: float
-    output_sha256: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "output_sha256": self.output_sha256,
-        }
-
-
 def _emit(command: str, params: dict, payload: str, out: str | None, t0: float) -> None:
+    """Write the report and its run manifest, the reproducibility record."""
     data = payload.encode("utf-8")
-    manifest = RunManifest(
-        command=command,
-        params=params,
-        version=__version__,
-        wall_time_s=round(time.perf_counter() - t0, 6),
-        output_sha256=hashlib.sha256(data).hexdigest(),
-    ).to_json_dict()
+    manifest = {
+        "command": command,
+        "params": params,
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - t0, 6),
+        "output_sha256": hashlib.sha256(data).hexdigest(),
+    }
     if out:
         with open(out, "wb") as fh:
             fh.write(data)

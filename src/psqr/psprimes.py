@@ -41,6 +41,7 @@ _POW_BIT_BUDGET = 1 << 21     # cap on bits of n**num intermediates
 
 _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
+_SIEVE_SPAN = 1 << 8          # values of run width that cost the sieve one entry test (prime_flags)
 _FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified band (ps_prime_array)
 _BELOW_2_64 = 2.0**64 - 2.0**11  # largest float below 2**64
 # values prime_flags tests by batched Miller-Rabin (_mulmod's range); prime_flags
@@ -92,13 +93,8 @@ def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending (cached, grows monotonically)."""
     global _base_primes
     if limit > int(_base_primes[-1]):
-        n = max(limit, 2 * int(_base_primes[-1]))
-        sieve = np.ones(n + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(n) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _base_primes = np.flatnonzero(sieve).astype(np.int64)
+        # the segment sieve of [0, n] asks for the primes up to isqrt(n) first
+        _base_primes = np.flatnonzero(_segment_is_prime(0, max(limit, 2 * int(_base_primes[-1]))))
     cut = np.searchsorted(_base_primes, limit, side="right")
     return _base_primes[:cut]
 
@@ -109,41 +105,38 @@ def _segment_is_prime(lo: int, hi: int) -> np.ndarray:
     seg = np.ones(width, dtype=bool)
     for k in range(lo, min(2, hi + 1)):
         seg[k - lo] = False
-    for p in primes_up_to(math.isqrt(hi)):
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= hi:
-            seg[start - lo :: p] = False
+    base = primes_up_to(math.isqrt(hi))
+    # each base prime strikes its multiples from its square or the segment's first
+    starts = np.maximum(base * base, -(-lo // base) * base) - lo
+    for p, start in zip(base.tolist(), starts.tolist()):
+        seg[start::p] = False
     return seg
-
-
-def prime_array(lo: int, hi: int) -> np.ndarray:
-    """Primes p with lo < p <= hi, 0 <= lo < hi, as an ascending uint64 array,
-    by one segment sieve."""
-    primes = np.flatnonzero(_segment_is_prime(lo + 1, hi)).astype(np.uint64)
-    primes += np.uint64(lo + 1)
-    return primes
-
-
-def primes_in_range(lo: int, hi: int, chunk: int = 1 << 22) -> Iterator[int]:
-    """Primes p with lo < p <= hi, ascending, one prime_array per chunk."""
-    for pos in range(lo, hi, chunk):
-        yield from prime_array(pos, min(pos + chunk, hi)).tolist()
 
 
 # -- batched primality -------------------------------------------------------
 
 def prime_flags(values: np.ndarray) -> np.ndarray:
-    """is_prime of each entry of an ascending uint64 array, as a bool array.
+    """is_prime of each entry of a strictly ascending uint64 array, as a bool
+    array.
 
     Each entry takes one of three tiers, by value and density:
 
     1. Dense runs: the entries up to _SIEVE_VALUE_CAP are cut into greedy runs
        no wider than _SIEVE_WIDTH_CAP. A run is one _segment_is_prime lookup
-       when it holds at least as many entries as the sieve has base primes,
-       bounded without building them by pi(x) < 1.25506 x / ln x, x > 1
-       (Rosser and Schoenfeld, Illinois J. Math. 6 (1962), Cor. 1) at
-       x = isqrt(hi). A sparser run is tested entry by entry below.
+       when it holds at least as many entries as the sieve costs in entry
+       tests: one per base prime, bounded without building them by
+       pi(x) < 1.25506 x / ln x, x > 1 (Rosser and Schoenfeld, Illinois J.
+       Math. 6 (1962), Cor. 1) at x = isqrt(hi), plus one per _SIEVE_SPAN
+       values of the run's width. Measured on a 2-vCPU Xeon with numpy 2.4, a
+       base prime costs the sieve loop ~1 us and a value of width 2-12 ns
+       (the most in 2**26-wide segments, which outgrow the caches), while a
+       batched Miller-Rabin entry costs 0.4 us (a random value, which trial
+       division or the first base mostly rules out) to 2-3 us (a prime below
+       2**32, which takes every base it needs); so a base prime weighs about
+       one entry, and 2**8 values of width about one more. As the entries
+       strictly ascend, a run as wide as it is long holds consecutive
+       values, and its segment is its flags. A sparser run is tested entry
+       by entry below.
     2. Entries in [38, 2**53): batched Miller-Rabin, _MR_CHUNK values at a
        time (_miller_rabin), with the bases is_prime would use; a chunk
        with fewer than _MR_MIN_BATCH values left after vectorised trial
@@ -160,8 +153,8 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
        is_prime.
     """
     values = np.asarray(values, dtype=np.uint64)
-    if (values[1:] < values[:-1]).any():
-        raise PreconditionViolated("prime_flags needs an ascending array")
+    if (values[1:] <= values[:-1]).any():
+        raise PreconditionViolated("prime_flags needs a strictly ascending array")
     flags = np.zeros(values.size, dtype=bool)
     pending = np.ones(values.size, dtype=bool)
     capped = values[: int(np.searchsorted(values, np.uint64(_SIEVE_VALUE_CAP), side="right"))]
@@ -171,9 +164,12 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
         j = int(np.searchsorted(capped, np.uint64(lo + _SIEVE_WIDTH_CAP), side="right"))
         hi = int(capped[j - 1])
         root = math.isqrt(hi)
-        if root > 1 and j - i >= 1.25506 * root / math.log(root):
-            # an int64 view of values below 2**44 indexes without numpy's uint64 cast
-            flags[i:j] = _segment_is_prime(lo, hi)[capped[i:j].view(np.int64) - lo]
+        if root > 1 and j - i >= 1.25506 * root / math.log(root) + (hi - lo) / _SIEVE_SPAN:
+            seg = _segment_is_prime(lo, hi)
+            if j - i < seg.size:
+                # an int64 view of values below 2**44 indexes without numpy's uint64 cast
+                seg = seg[capped[i:j].view(np.int64) - lo]
+            flags[i:j] = seg
             pending[i:j] = False
         i = j
     if not pending.any():
@@ -370,8 +366,9 @@ class PsPrimeRange:
     hi: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.lo < self.hi:
-            raise PreconditionViolated(f"need 1 <= lo < hi, got ({self.lo}, {self.hi}]")
+        # n = 0 has floor 0, which is never prime
+        if not 0 <= self.lo < self.hi:
+            raise PreconditionViolated(f"need 0 <= lo < hi, got ({self.lo}, {self.hi}]")
         if floor_pow(self.hi, self.exponent) >= PRIME_BUDGET:
             raise Overflow("hi**c exceeds the 64-bit prime budget")
 
@@ -391,15 +388,23 @@ def ps_primes_in(rng: PsPrimeRange, block_size: int = BLOCK_SIZE) -> Iterator[tu
         yield from zip(ns.tolist(), floors.tolist())
 
 
+def primes_in_range(lo: int, hi: int, chunk: int = BLOCK_SIZE) -> Iterator[int]:
+    """Primes p with lo < p <= hi, 0 <= lo < hi < 2**64, ascending: the c = 1
+    PS stream, whose floors are n itself."""
+    return (p for _, p in ps_primes_in(PsPrimeRange(RationalExponent(1, 1), lo, hi), chunk))
+
+
 def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The n in (lo, hi] whose floor(n**c) is prime, and those floors, as two
-    ascending uint64 arrays; 1 <= lo < hi with floor(hi**c) < PRIME_BUDGET.
+    ascending uint64 arrays; 0 <= lo < hi with floor(hi**c) < PRIME_BUDGET.
 
-    At c = 1 the floors are n itself. Otherwise the block takes float floors
-    for the whole block, and exact integer roots only for the n whose float
-    power lies within a guard band of an integer. The band is derived
-    from the error of f = pow(fl(n), fl(a/b)) against y = n**c; here
-    2 <= n < 2**64, since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
+    At c = 1 the floors are n itself, so the block is the primes in (lo, hi]:
+    every plain-prime window (primes_in_range, a census of all primes) is a
+    c = 1 block. Otherwise the block takes float floors for the whole block,
+    and exact integer roots only for the n whose float power lies within a
+    guard band of an integer. The band is derived from the error of
+    f = pow(fl(n), fl(a/b)) against y = n**c; here
+    1 <= n < 2**64, since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
 
     1. a/b: fl(a/b) = c(1 + e) with |e| <= 2**-53, so n**fl(a/b) = y exp(e c ln n),
        and c ln n amplifies e to at most 2**-53 * 2 * 44.4 < 2**-46.4.
@@ -418,9 +423,10 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
     with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf >= 2**39 falls
     in the band, and there the float floor only seeds the exact root.
 
-    The floors ascend, and prime_flags decides their primality: a block of
-    dense floors below _SIEVE_VALUE_CAP is one segment-sieve lookup, and
-    sparse or larger floors take batched or scalar Miller-Rabin.
+    The floors strictly ascend, and prime_flags decides their primality: a
+    block of dense floors below _SIEVE_VALUE_CAP is one segment-sieve lookup
+    (at c = 1 the segment itself), and sparse or larger floors take batched
+    or scalar Miller-Rabin.
     """
     a, b = c.num, c.den
     n0 = lo + 1

@@ -35,7 +35,7 @@ from psqr.psprimes import (
     PsPrimeRange,
     RationalExponent,
     integer_nth_root,
-    prime_array,
+    primes_up_to,
     ps_primes_in,
 )
 from psqr.residues import jacobi_column
@@ -107,10 +107,50 @@ def test_census_factors_each_element_once(monkeypatch):
         assert sorted(n for n in calls if n in elements) == list(elements)
 
 
-def test_ps_source_equals_all_primes_at_c_one():
-    ps = run_census(CensusConfig(elements=(2, 3), exponent=C1, x=10**4, source=PS_PRIMES))
-    al = run_census(CensusConfig(elements=(2, 3), exponent=C1, x=10**4, source=ALL_PRIMES))
+@st.composite
+def c1_windows(draw):
+    """Census window arguments: (0, hi], or a window across 2**44 or 2**53."""
+    width = draw(st.integers(1, 600))
+    edge = draw(st.sampled_from((0, 1 << 44, 1 << 53)))
+    lo = edge - draw(st.integers(0, width)) if edge else 0
+    return {"lo": lo, "hi": lo + width}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(1, 1 << 20), min_size=1, max_size=4, unique=True), c1_windows())
+@example([2, 3], {"x": 10**4})
+def test_ps_source_equals_all_primes_at_c_one(elements, window):
+    config = CensusConfig(elements=tuple(elements), exponent=C1, source=PS_PRIMES, **window)
+    ps = run_census(config)
+    al = run_census(dataclasses.replace(config, source=ALL_PRIMES))
     assert ps.to_json() == al.to_json()
+
+
+@st.composite
+def small_censuses(draw):
+    """Small censuses of every source: PS windows at c = 1, 11/10 and 243/205,
+    plain primes, and a file of the PS primes of a window (prime_file unset)."""
+    source = draw(st.sampled_from((PS_PRIMES, ALL_PRIMES, FILE)))
+    c = draw(st.sampled_from((C1, C11, RationalExponent(243, 205))))
+    lo = draw(st.integers(0, 10**6))
+    hi = lo + draw(st.integers(1, 1000))
+    elements = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3, unique=True))
+    return CensusConfig(elements=tuple(elements), exponent=c, lo=lo, hi=hi, source=source)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_censuses(), st.integers(1, 1 << 12))
+def test_census_bytes_for_any_block_size_and_thread_count(config, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        if config.source == FILE:
+            path = os.path.join(tmp, "ps.txt")
+            rng = PsPrimeRange(config.exponent, config.lo, config.hi)
+            write_prime_file(path, (p for _, p in ps_primes_in(rng)))
+            config = dataclasses.replace(config, prime_file=path, lo=None, hi=None)
+        want = run_census(config).to_json()
+        for threads in (1, 2):
+            got = run_census(dataclasses.replace(config, block_size=block, threads=threads))
+            assert got.to_json() == want
 
 
 @st.composite
@@ -343,7 +383,7 @@ def test_convergence_table_ps_exponent():
 # -- basis symbols against one Jacobi column per element ----------------------
 
 _U64 = (1 << 64) - 1
-_SMALL_PRIMES = prime_array(0, 100).tolist()
+_SMALL_PRIMES = primes_up_to(100).astype(np.uint64).tolist()
 # 2**18 = ROW_BUDGET >> 4 is the row cap: primes on both sides of it
 _MID_PRIMES = [1009, 7919, 65537, 262139]
 _BIG_PRIMES = [262147, 1_000_003, 2**31 - 1, 4294967291, 2**61 - 1, 18446744073709551557]
@@ -387,7 +427,7 @@ def _element(draw):
 def _census_case(draw):
     elements = draw(st.lists(_element(), min_size=1, max_size=8, unique=True))
     # consecutive primes from 2, every prime dividing an element, large primes
-    primes = set(prime_array(0, draw(st.integers(2, 4000))).tolist())
+    primes = set(primes_up_to(draw(st.integers(2, 4000))).astype(np.uint64).tolist())
     primes.update(q for s in elements for q, _ in factorize(s).factors)
     primes.update(draw(st.lists(st.sampled_from(_MID_PRIMES + _BIG_PRIMES), max_size=6)))
     block = draw(st.integers(1, 600))
@@ -397,8 +437,8 @@ def _census_case(draw):
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_census_case())
-@example(((3, 5, 15, 262147, 18, 1), np.array(prime_array(0, 3000).tolist() + [262147],
-                                               dtype=np.uint64), 97, 1 << 10))
+@example(((3, 5, 15, 262147, 18, 1),
+          np.append(primes_up_to(3000).astype(np.uint64), np.uint64(262147)), 97, 1 << 10))
 def test_basis_histogram_matches_jacobi_columns(case):
     elements, primes, block, budget = case
     default = residues.ROW_BUDGET
@@ -428,7 +468,7 @@ def test_basis_histogram_matches_jacobi_columns(case):
 def test_census_rebuilds_rows_evicted_mid_run(monkeypatch):
     # the odd primes below 256 in six elements: their rows (~5.8k entries) pass
     # a 4096-entry budget, so rows are evicted and earned again along the window
-    odd = prime_array(2, 256).tolist()
+    odd = primes_up_to(256).astype(np.uint64)[1:].tolist()
     elements = tuple(math.prod(odd[i::6]) for i in range(6))
     assert all(s < 1 << 64 for s in elements)
     store = residues._JACOBI_ROWS
@@ -454,6 +494,6 @@ def test_census_rebuilds_rows_evicted_mid_run(monkeypatch):
     finally:
         clear()
     assert clears and len(builds) > len(set(builds))
-    total, skipped, counts = _column_histogram(elements, prime_array(0, 120_000))
+    total, skipped, counts = _column_histogram(elements, primes_up_to(120_000).astype(np.uint64))
     assert (report.total_primes, report.skipped) == (total, skipped)
     assert report.pattern_counts == {_mask_key(m, 6): c for m, c in sorted(counts.items())}

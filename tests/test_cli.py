@@ -10,7 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import psqr
-from psqr import census, kernels, predict
+from psqr import census, kernels, predict, psprimes
 from psqr.cli import main
 from psqr.errors import PsqrError
 
@@ -84,14 +84,21 @@ def test_census_set_cap_exit_4(capsys):
     assert code == 4
 
 
-def test_census_all_primes_value_budget_exit_4(capsys):
-    # the base-prime sieve grows with isqrt(hi): a window past 2**44 is refused
-    cap = 1 << 44
-    code, _, err = run_cli(capsys, "census", "3", "--source", "all", "--range", f"{cap},{cap + 10}")
-    assert code == 4
-    assert "2**44" in err
-    code, _, _ = run_cli(capsys, "census", "3", "--source", "all", "--range", f"{cap - 10},{cap}")
-    assert code == 0
+@pytest.mark.parametrize("lo", [(1 << 44) - 10, 1 << 62])
+def test_census_all_primes_is_the_c1_stream_past_the_sieve_caps(capsys, monkeypatch, lo):
+    # sieving near 2**44 or 2**62 would need base primes up to 2**22 or 2**31
+    sieve = psprimes.primes_up_to
+
+    def small_sieve(limit):
+        if limit > 1 << 22:
+            raise AssertionError(f"base primes up to {limit} requested")
+        return sieve(limit)
+
+    monkeypatch.setattr(psprimes, "primes_up_to", small_sieve)
+    window = ["--range", f"{lo},{lo + 200}", "--threads", "1"]
+    code, out, _ = run_cli(capsys, "census", "3,5", "--source", "all", *window)
+    assert code == 0 and json.loads(out)["total_primes"] > 0
+    assert run_cli(capsys, "census", "3,5", "--c", "1", *window)[:2] == (0, out)
 
 
 def test_census_wide_window_exit_4_before_planning(capsys):

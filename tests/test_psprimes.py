@@ -1,6 +1,7 @@
 """Exact floors, primality, and PS prime streams."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -20,7 +21,6 @@ from psqr.psprimes import (
     integer_nth_root,
     is_prime,
     is_ps_prime,
-    prime_array,
     prime_flags,
     primes_in_range,
     primes_up_to,
@@ -199,7 +199,8 @@ def test_is_prime_matches_twelve_bases_near_each_limit(limit, delta):
 
 def test_primes_in_range_segmented():
     assert list(primes_in_range(10, 30)) == [11, 13, 17, 19, 23, 29]
-    primes = prime_array(0, 30)
+    assert list(primes_in_range(0, 3)) == [2, 3]
+    primes = primes_up_to(30).astype(np.uint64)
     assert primes.dtype == np.uint64 and primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     want = [int(p) for p in primes_up_to(10**5) if p > 10**4]
     got = list(primes_in_range(10**4, 10**5, chunk=3000))
@@ -213,6 +214,8 @@ def test_ps_stream_examples():
     assert list(ps_primes_in(PsPrimeRange(c11, 1, 10))) == [(2, 2), (3, 3), (5, 5), (6, 7), (9, 11)]
     c32 = RationalExponent(3, 2)
     assert list(ps_primes_in(PsPrimeRange(c32, 1, 10))) == [(2, 2), (3, 5), (5, 11), (10, 31)]
+    # n = 0 and n = 1 have floors 0 and 1, neither prime
+    assert list(ps_primes_in(PsPrimeRange(c32, 0, 10))) == [(2, 2), (3, 5), (5, 11), (10, 31)]
 
 
 def test_ps_stream_block_invariance():
@@ -276,6 +279,8 @@ def test_ps_count_tracks_reciprocal_of_c():
 def test_range_validation():
     with pytest.raises(PreconditionViolated):
         PsPrimeRange(RationalExponent(1, 1), 20, 10)
+    with pytest.raises(PreconditionViolated):
+        PsPrimeRange(RationalExponent(1, 1), -1, 10)
     with pytest.raises(Overflow):
         PsPrimeRange(RationalExponent(3, 2), 1, 1 << 44)
 
@@ -497,6 +502,25 @@ def test_sparse_run_near_2_44_does_not_sieve(monkeypatch):
     assert list(ps_primes_in(PsPrimeRange(c, lo, hi))) == _oracle(c, lo, hi)
     values = _u64(range(_SIEVE_VALUE_CAP - 1000, _SIEVE_VALUE_CAP + 1))
     assert prime_flags(values).tolist() == [is_prime(v) for v in values.tolist()]
+
+
+def test_sparse_wide_run_is_tested_not_sieved(monkeypatch):
+    # 2000 odd values over 2**26 near 2**27, 222 of them prime, pass the
+    # base-prime count (~1862), but sieving their 64 MB run takes ~1 s against
+    # a few ms of Miller-Rabin
+    def no_sieve(lo, hi):
+        raise AssertionError(f"[{lo}, {hi}] was sieved")
+
+    monkeypatch.setattr(psprimes, "_segment_is_prime", no_sieve)
+    values = np.uint64((1 << 27) + 3) + np.arange(2000, dtype=np.uint64) * np.uint64(33554)
+    tracemalloc.start()
+    try:
+        flags = prime_flags(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert flags.tolist() == [is_prime(v) for v in values.tolist()] and flags.sum() == 222
 
 
 def test_dense_blocks_stay_on_the_sieve(monkeypatch):
