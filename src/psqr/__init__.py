@@ -8,9 +8,6 @@ the sawtooth/Vaughan exponential-sum machinery.
 __version__ = "0.1.0"
 
 from .census import (
-    ALL_PRIMES,
-    FILE,
-    PS_PRIMES,
     CensusConfig,
     CensusReport,
     convergence_table,

@@ -1,12 +1,12 @@
 """Empirical sign-pattern censuses with predicted-vs-observed comparison.
 
-Sources: exact PS-prime streams, plain primes, or an ingested prime-list file
-(one decimal prime per line, ascending, '#' comments). Plain primes are the
-PS stream at c = 1, whose floors are n itself, so a window of either source
-is planned and served as PS blocks. Work is split into fixed n-blocks (at
-most MAX_BLOCKS of them, each of at most MAX_BLOCK_SIZE n or primes) merged
-in block order, so reports are byte-identical for any thread count. Every
-block hands its primes to the histogram as one uint64 array:
+A census reads its primes from exactly one place: a prime-list file (one
+decimal prime per line, ascending, '#' comments), or the PS primes [n^c] of
+an n-window at the config's exponent. Plain primes are the window at c = 1,
+whose floors are n itself. Work is split into fixed blocks (at most
+MAX_BLOCKS n-blocks of a window, each of at most MAX_BLOCK_SIZE n or primes)
+merged in block order, so reports are byte-identical for any thread count.
+Every block hands its primes to the histogram as one uint64 array:
 psprimes.ps_prime_array's floors, or a slice of the file.
 
 Symbols come from the set's odd-exponent prime basis, read off the
@@ -36,51 +36,41 @@ from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, W
 from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
-    BLOCK_SIZE,
-    PRIME_BUDGET,
-    PsPrimeRange,
-    RationalExponent,
-    prime_flags,
-    ps_prime_array,
+    BLOCK_SIZE, PRIME_BUDGET, PsPrimeRange, RationalExponent, prime_flags, ps_prime_array,
 )
 from .residues import symbol_bits
-
-PS_PRIMES = "PS_PRIMES"
-ALL_PRIMES = "ALL_PRIMES"
-FILE = "FILE"
 
 # blocks one window may be split into: the task list (~200 bytes a block) and,
 # with a pool, one future per block are built before the first block runs
 MAX_BLOCKS = 1 << 16
-# n (or primes) per block: a window block (PS primes, or all primes as c = 1)
-# holds ~40 bytes per n
+# n (or primes) per block: a window block holds ~40 bytes per n
 MAX_BLOCK_SIZE = 1 << 22
 
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """One census run: the set, the exponent, the window, and the source."""
+    """One census run: the set, and its primes: a prime_file, or the PS primes
+    of the window (x, 2x] or (lo, hi] at the exponent (c = 1: all primes)."""
 
     elements: tuple[int, ...]
     exponent: RationalExponent = RationalExponent(1, 1)
     x: int | None = None          # dyadic window (x, 2x]
     lo: int | None = None         # absolute window (lo, hi]
     hi: int | None = None
-    source: str = PS_PRIMES
     prime_file: str | None = None
     block_size: int = BLOCK_SIZE
     threads: int = 1
 
-    def window(self) -> tuple[int, int]:
-        if self.x is not None:
-            if self.x < 1:
-                raise PreconditionViolated(f"window base must be >= 1, got {self.x}")
-            return (self.x, 2 * self.x)
-        if self.lo is not None and self.hi is not None:
-            if not 0 <= self.lo < self.hi:
-                raise PreconditionViolated(f"need 0 <= lo < hi, got ({self.lo}, {self.hi}]")
-            return (self.lo, self.hi)
-        raise PreconditionViolated("census window needs x or an explicit lo/hi range")
+    def window(self) -> PsPrimeRange:
+        """The n-window at the exponent, validated against the prime budget."""
+        if self.x is not None and self.lo is None and self.hi is None:
+            return PsPrimeRange(self.exponent, self.x, 2 * self.x)
+        if self.x is None and self.lo is not None and self.hi is not None:
+            return PsPrimeRange(self.exponent, self.lo, self.hi)
+        given = ", ".join(k for k in ("x", "lo", "hi") if getattr(self, k) is not None)
+        raise PreconditionViolated(
+            f"a census reads one of: x, lo and hi, or a prime_file; got {given or 'none'}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,34 +216,30 @@ def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[i
 
 
 def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
-    kind, basis, payload = task
-    if kind == FILE:
-        return _count_patterns(basis, payload)
-    return _count_patterns(basis, ps_prime_array(*payload)[1])
+    basis, block = task  # a slice of the prime file, or a window (c, lo, hi)
+    primes = block if isinstance(block, np.ndarray) else ps_prime_array(*block)[1]
+    return _count_patterns(basis, primes)
 
 
 def _block_tasks(config: CensusConfig, family: SquareSubsetFamily) -> list[tuple]:
     basis = _basis(family)
-    if config.source == FILE:
-        if config.prime_file is None:
-            raise PreconditionViolated("FILE source needs a prime_file path")
+    step = config.block_size
+    if config.prime_file is not None:
+        if (config.x, config.lo, config.hi) != (None, None, None):
+            raise PreconditionViolated("a census reads a prime_file or a window, not both")
         primes = np.array(read_prime_file(config.prime_file), dtype=np.uint64)
-        step = config.block_size
-        return [
-            (FILE, basis, primes[i : i + step]) for i in range(0, primes.size, step)
-        ] or [(FILE, basis, primes)]
-    lo, hi = config.window()
-    c = config.exponent if config.source == PS_PRIMES else RationalExponent(1, 1)
-    PsPrimeRange(c, lo, hi)  # validate window and budget up front
-    blocks = -(-(hi - lo) // config.block_size)
+        slices = [primes[i : i + step] for i in range(0, primes.size, step)] or [primes]
+        return [(basis, block) for block in slices]
+    rng = config.window()
+    blocks = -(-(rng.hi - rng.lo) // step)
     if blocks > MAX_BLOCKS:
         raise Overflow(
-            f"the window spans {blocks} blocks of {config.block_size} n; the budget is "
+            f"the window spans {blocks} blocks of {step} n; the budget is "
             f"{MAX_BLOCKS} blocks (a larger block size covers a wider window)"
         )
     return [
-        (PS_PRIMES, basis, (c, b_lo, min(b_lo + config.block_size, hi)))
-        for b_lo in range(lo, hi, config.block_size)
+        (basis, (rng.exponent, b_lo, min(b_lo + step, rng.hi)))
+        for b_lo in range(rng.lo, rng.hi, step)
     ]
 
 
@@ -261,15 +247,14 @@ def run_census(config: CensusConfig) -> CensusReport:
     """Exact pattern census; a pure function of its config, any thread count."""
     if len(config.elements) > PATTERN_SET_CAP:
         raise SetTooLarge(f"census histograms are capped at {PATTERN_SET_CAP} elements")
-    if config.source not in (PS_PRIMES, ALL_PRIMES, FILE):
-        raise PreconditionViolated(f"unknown source {config.source!r}")
     if config.block_size < 1 or config.threads < 1:
         raise PreconditionViolated("block_size and threads must be positive")
     if config.block_size > MAX_BLOCK_SIZE:
         raise Overflow(f"block_size is capped at {MAX_BLOCK_SIZE}, got {config.block_size}")
 
     prediction = parity_analysis(config.elements)
-
+    # the window is validated first, so x < 2**64 bounds the power below
+    tasks = _block_tasks(config, prediction.family)
     if config.x is not None:
         # dyadic windows must dominate prod(S)**gamma for the side condition to vanish
         prod = math.prod(config.elements)
@@ -278,7 +263,6 @@ def run_census(config: CensusConfig) -> CensusReport:
                 f"x = {config.x} does not exceed prod(S)**gamma for S = {config.elements}"
             )
 
-    tasks = _block_tasks(config, prediction.family)
     if config.threads == 1:
         partials = map(_census_block, tasks)
     else:

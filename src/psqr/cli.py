@@ -22,14 +22,8 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import __version__
-from .census import (
-    ALL_PRIMES,
-    FILE,
-    PS_PRIMES,
-    CensusConfig,
-    run_census,
-)
-from .errors import CheckFailed, ResourceLimit, UsageError
+from .census import CensusConfig, run_census
+from .errors import CheckFailed, Overflow, ResourceLimit, UsageError
 from .expsums import (
     bilinear_check,
     cancellation_scan,
@@ -53,14 +47,15 @@ def _parse_set(text: str) -> tuple[int, ...]:
 
 
 def _parse_count(text: str) -> int:
-    """Integer, or exact scientific shorthand like 1e6."""
-    tok = text.strip()
-    m = re.fullmatch(r"([0-9]+)[eE]([0-9]+)", tok)
-    if m:
-        return int(m.group(1)) * 10 ** int(m.group(2))
-    if re.fullmatch(r"[0-9]+", tok):
-        return int(tok)
-    raise ValueError(f"{text!r} is not an integer (scientific shorthand like 1e6 is allowed)")
+    """Integer, or exact scientific shorthand like 1e6, of at most 309 digits."""
+    m = re.fullmatch(r"([0-9]+)(?:[eE]([0-9]+))?", text.strip())
+    if not m:
+        raise ValueError(f"{text!r} is not an integer (scientific shorthand like 1e6 is allowed)")
+    mantissa, exp = m.group(1).lstrip("0") or "0", (m.group(2) or "").lstrip("0") or "0"
+    # 2**1024 has 309 digits; a longer count is refused from its digit counts
+    if len(exp) > 3 or len(mantissa) + int(exp) > 309:
+        raise Overflow("counts are capped at 309 digits")
+    return int(mantissa) * 10 ** int(exp)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -142,22 +137,18 @@ def cmd_census(args) -> int:
     t0 = time.perf_counter()
     elements = _parse_set(args.set)
     c = RationalExponent.parse(args.c)
-    source = PS_PRIMES if args.source == "ps" else ALL_PRIMES
-    if args.prime_file:
-        source = FILE
+    if args.source == "all" and c != RationalExponent(1, 1):
+        raise ValueError(f"--source all is the c = 1 stream; it conflicts with --c {c}")
     x = _parse_count(args.x) if args.x is not None else None
     lo = hi = None
     if args.range is not None:
         lo, hi = _parse_range(args.range)
-    if source != FILE and x is None and lo is None:
-        raise ValueError("census needs --x or --range (unless reading a prime file)")
     config = CensusConfig(
         elements=elements,
         exponent=c,
         x=x,
         lo=lo,
         hi=hi,
-        source=source,
         prime_file=args.prime_file,
         block_size=args.block_size,
         threads=args.threads,
@@ -169,7 +160,7 @@ def cmd_census(args) -> int:
         "c": str(c),
         "x": x,
         "range": [lo, hi] if lo is not None else None,
-        "source": source,
+        "source": args.source,
         "prime_file": args.prime_file,
         "block_size": args.block_size,
         "threads": args.threads,
@@ -288,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default="1")
     p.add_argument("--x", help="dyadic window (x, 2x]")
     p.add_argument("--range", help="absolute window lo,hi")
-    p.add_argument("--source", choices=("ps", "all"), default="ps")
-    p.add_argument("--prime-file", help="ingest this prime list instead of generating")
+    p.add_argument("--source", choices=("ps", "all"), default="ps",
+                   help="all: every prime in the window, the PS primes at c = 1")
+    p.add_argument("--prime-file", help="census this prime list instead of a window")
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--block-size", type=int, default=BLOCK_SIZE)
     p.add_argument("--csv", action="store_true", help="CSV report instead of JSON")

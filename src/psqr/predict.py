@@ -9,12 +9,13 @@ impossible otherwise.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CheckFailed, SetTooLarge, XTooSmallWarning
+from .errors import CheckFailed, Overflow, PreconditionViolated, SetTooLarge, XTooSmallWarning
 from .kernels import SquareSubsetFamily, _mask_key, square_subset_family
 from .psprimes import RationalExponent
 
@@ -127,6 +128,10 @@ def parity_analysis(S: Iterable[int]) -> Prediction:
 
 def qr_count_asymptotic(S: Iterable[int], c: RationalExponent, x: int) -> float:
     """Main-term prediction for the all-residue count over the window (x, 2x]."""
+    if x > sys.float_info.max:  # exact int-float compare: no power, no conversion
+        raise Overflow(f"x is a {x.bit_length()}-bit value; the main term is a float")
+    if x < 2:
+        raise PreconditionViolated(f"the main term x / log x needs x >= 2, got {x}")
     fam = square_subset_family(S)
     prod = math.prod(fam.elements)
     if x**c.num <= prod**c.den:

@@ -368,8 +368,9 @@ class PsPrimeRange:
     def __post_init__(self) -> None:
         # n = 0 has floor 0, which is never prime
         if not 0 <= self.lo < self.hi:
-            raise PreconditionViolated(f"need 0 <= lo < hi, got ({self.lo}, {self.hi}]")
-        if floor_pow(self.hi, self.exponent) >= PRIME_BUDGET:
+            raise PreconditionViolated("need 0 <= lo < hi for the n-window (lo, hi]")
+        # floor(hi**c) >= hi: a hi past the budget is refused before any power
+        if self.hi >= PRIME_BUDGET or floor_pow(self.hi, self.exponent) >= PRIME_BUDGET:
             raise Overflow("hi**c exceeds the 64-bit prime budget")
 
 

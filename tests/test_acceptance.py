@@ -198,7 +198,7 @@ def test_criterion_09_bilinear_rearrangement():
 
 
 def test_criterion_10_jacobi_oracle():
-    jacobi(3, 7)  # warm the compiled cores before the clock starts
+    jacobi(3, 7)  # one call before the clock starts, so only the sweep is timed
     t0 = time.perf_counter()
     mismatches = 0
     for p in primes_up_to(10**4 - 1)[1:]:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +14,6 @@ from hypothesis import strategies as st
 
 from psqr import census, kernels, residues
 from psqr.census import (
-    ALL_PRIMES,
-    FILE,
-    PS_PRIMES,
     CensusConfig,
     convergence_table,
     read_prime_file,
@@ -32,9 +30,12 @@ from psqr.errors import (
 from psqr.kernels import _mask_key, factorize, square_subset_family
 from psqr.psprimes import (
     _SIEVE_VALUE_CAP,
+    PRIME_BUDGET,
     PsPrimeRange,
     RationalExponent,
+    floor_pow,
     integer_nth_root,
+    is_prime,
     primes_up_to,
     ps_primes_in,
 )
@@ -100,9 +101,9 @@ def test_census_factors_each_element_once(monkeypatch):
     for module in (census, kernels, residues):
         monkeypatch.setattr(module, "factorize", counting, raising=False)
     elements = (6, 10, 15)
-    for source in (PS_PRIMES, ALL_PRIMES):
+    for c in (C1, C11):
         calls.clear()
-        run_census(CensusConfig(elements=elements, x=1000, source=source))
+        run_census(CensusConfig(elements=elements, exponent=c, x=1000))
         # symbol rows factor their modulus, a basis prime, never an element
         assert sorted(n for n in calls if n in elements) == list(elements)
 
@@ -120,29 +121,32 @@ def c1_windows(draw):
 @given(st.lists(st.integers(1, 1 << 20), min_size=1, max_size=4, unique=True), c1_windows())
 @example([2, 3], {"x": 10**4})
 def test_ps_source_equals_all_primes_at_c_one(elements, window):
-    config = CensusConfig(elements=tuple(elements), exponent=C1, source=PS_PRIMES, **window)
-    ps = run_census(config)
-    al = run_census(dataclasses.replace(config, source=ALL_PRIMES))
-    assert ps.to_json() == al.to_json()
+    # a c = 1 census counts every prime of the window: scalar is_prime is the oracle
+    report = run_census(CensusConfig(elements=tuple(elements), exponent=C1, **window))
+    lo, hi = (window["x"], 2 * window["x"]) if "x" in window else (window["lo"], window["hi"])
+    primes = np.array([p for p in range(lo + 1, hi + 1) if is_prime(p)], dtype=np.uint64)
+    total, skipped, counts = _column_histogram(elements, primes)
+    assert (report.total_primes, report.skipped) == (total, skipped)
+    size = len(elements)
+    assert report.pattern_counts == {_mask_key(m, size): c for m, c in sorted(counts.items())}
 
 
 @st.composite
 def small_censuses(draw):
-    """Small censuses of every source: PS windows at c = 1, 11/10 and 243/205,
-    plain primes, and a file of the PS primes of a window (prime_file unset)."""
-    source = draw(st.sampled_from((PS_PRIMES, ALL_PRIMES, FILE)))
+    """Small censuses: PS windows at c = 1 (all primes), 11/10 and 243/205."""
     c = draw(st.sampled_from((C1, C11, RationalExponent(243, 205))))
     lo = draw(st.integers(0, 10**6))
     hi = lo + draw(st.integers(1, 1000))
     elements = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3, unique=True))
-    return CensusConfig(elements=tuple(elements), exponent=c, lo=lo, hi=hi, source=source)
+    return CensusConfig(elements=tuple(elements), exponent=c, lo=lo, hi=hi)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(small_censuses(), st.integers(1, 1 << 12))
-def test_census_bytes_for_any_block_size_and_thread_count(config, block):
+@given(small_censuses(), st.booleans(), st.integers(1, 1 << 12))
+def test_census_bytes_for_any_block_size_and_thread_count(config, from_file, block):
+    # from_file: census a file of the window's PS primes instead of the window
     with tempfile.TemporaryDirectory() as tmp:
-        if config.source == FILE:
+        if from_file:
             path = os.path.join(tmp, "ps.txt")
             rng = PsPrimeRange(config.exponent, config.lo, config.hi)
             write_prime_file(path, (p for _, p in ps_primes_in(rng)))
@@ -178,9 +182,7 @@ def test_file_round_trip(window):
         primes = (p for _, p in ps_primes_in(PsPrimeRange(c, lo, hi)))
         write_prime_file(path, primes, comment="round trip")
         direct = run_census(CensusConfig(elements=(2, 3), exponent=c, lo=lo, hi=hi))
-        ingested = run_census(
-            CensusConfig(elements=(2, 3), exponent=c, source=FILE, prime_file=path)
-        )
+        ingested = run_census(CensusConfig(elements=(2, 3), prime_file=path))
     assert direct.to_json() == ingested.to_json()
 
 
@@ -236,13 +238,96 @@ def test_prime_file_rejects_the_earliest_bad_line(tmp_path, body, error, message
     assert f"{path}{message}" in str(info.value)
 
 
-def test_window_validation():
+def test_window_validation(tmp_path):
     with pytest.raises(WindowTooSmall):
         run_census(CensusConfig(elements=(100, 200), exponent=C1, x=10))
     with pytest.raises(PreconditionViolated):
         run_census(CensusConfig(elements=(2,), exponent=C1))
     with pytest.raises(SetTooLarge):
         run_census(CensusConfig(elements=tuple(range(1, 23)), exponent=C1, x=10**4))
+    # a census reads its primes from one place: a field is never silently dropped
+    path = tmp_path / "primes.txt"
+    path.write_text("11\n13\n")
+    for window in ({"lo": 10, "hi": 100}, {"x": 1}, {"lo": 10}, {"hi": 100}):
+        with pytest.raises(PreconditionViolated, match="not both"):
+            run_census(CensusConfig(elements=(2, 3), prime_file=str(path), **window))
+    for window in ({"x": 10**4, "lo": 10, "hi": 100}, {"lo": 10}, {"hi": 100}):
+        with pytest.raises(PreconditionViolated, match="one of"):
+            run_census(CensusConfig(elements=(2, 3), **window))
+
+
+def _budget_n(c):
+    """The largest n with floor(n**c) < 2**64."""
+    n = integer_nth_root(PRIME_BUDGET**c.den, c.num)
+    while floor_pow(n, c) >= PRIME_BUDGET:
+        n -= 1
+    return n
+
+
+C255 = RationalExponent(255, 254)
+_TOP_255 = _budget_n(C255)
+
+
+@st.composite
+def census_inputs(draw):
+    """Any mix of x, lo, hi and prime_file: small windows, windows at and past
+    the 2**64 floor budget, and x up to 10**100000."""
+    c = draw(st.sampled_from((C1, C11, C255)))
+    top = _budget_n(c)
+    given = draw(st.sampled_from(
+        ("x", "lo hi", "file", "x lo hi", "file x", "file lo hi", "lo", "hi", "")
+    )).split()
+    x = lo = hi = None
+    if "x" in given:
+        x = draw(st.one_of(
+            st.integers(-1, 3000),
+            st.integers(1 << 33, top),                           # too many blocks
+            st.integers(top // 2 - 2, top // 2 + 2),             # 2x at the budget
+            st.integers(1 << 64, 1 << 8200),                     # past it, n**255 < 2**21 bits
+            st.integers(19, 100_000).map(lambda e: 10**e),       # far past it
+        ))
+    if "lo" in given or "hi" in given:
+        hi = draw(st.sampled_from((0, 3000, top, top + 1, 1 << 64, 1 << 8000, 10**400)))
+        hi += draw(st.integers(-3, 3))
+        lo = hi - draw(st.integers(-2, 600)) if "lo" in given else None
+        hi = hi if "hi" in given else None
+    elements = draw(st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True))
+    return c, tuple(elements), x, lo, hi, "file" in given
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(census_inputs())
+@example((C255, (2, 3), 10**100_000, None, None, False))
+@example((C255, (2, 3), 1 << 8000, None, None, False))
+@example((C255, (2, 3), None, _TOP_255 - 600, _TOP_255, False))
+@example((C255, (2, 3), None, _TOP_255 - 600, _TOP_255 + 1, False))
+def test_window_validation_property(case):
+    # every mix either censuses or raises a documented class, in bounded time
+    c, elements, x, lo, hi, from_file = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "primes.txt")
+        write_prime_file(path, [11, 13, 17, 19])
+        config = CensusConfig(elements=elements, exponent=c, x=x, lo=lo, hi=hi,
+                              prime_file=path if from_file else None)
+        t0 = time.perf_counter()
+        try:
+            report = run_census(config)
+            outcome = None
+        except (PreconditionViolated, WindowTooSmall, Overflow) as exc:
+            outcome = type(exc)
+        assert time.perf_counter() - t0 < 1.0
+    window = None  # stays None for a mix that is not one window
+    if x is not None and (lo, hi) == (None, None):
+        window = (x, 2 * x)
+    elif x is None and None not in (lo, hi):
+        window = (lo, hi)
+    windowed = (x, lo, hi) != (None, None, None)
+    if from_file == windowed or (windowed and window is None):
+        assert outcome is PreconditionViolated
+    elif window and 0 <= window[0] < window[1] and window[1] >= PRIME_BUDGET:
+        assert outcome is Overflow
+    elif outcome is None:
+        assert sum(report.pattern_counts.values()) + report.skipped == report.total_primes
 
 
 def test_report_json_shape():
@@ -334,8 +419,7 @@ def test_file_census_below_2_64_matches_pattern_at(tmp_path):
     write_prime_file(str(path), primes)
     # an even element past 2**32, 2**64 itself, and the largest prime below 2**64
     elements = (3, (1 << 33) + 2, top[0], 1 << 64)
-    report = run_census(CensusConfig(elements=elements, source=FILE, prime_file=str(path),
-                                     block_size=16))
+    report = run_census(CensusConfig(elements=elements, prime_file=str(path), block_size=16))
     patterns = [None if p == 2 else pattern_at(elements, p) for p in primes]
     counts: dict[str, int] = {}
     for pat in filter(None, patterns):
@@ -489,7 +573,7 @@ def test_census_rebuilds_rows_evicted_mid_run(monkeypatch):
     monkeypatch.setattr(store, "clear", counted_clear)
     try:
         report = run_census(CensusConfig(elements=elements, exponent=C1, lo=0, hi=120_000,
-                                         source=ALL_PRIMES, block_size=4096))
+                                         block_size=4096))
         assert store.entries <= 1 << 12
     finally:
         clear()

@@ -11,7 +11,7 @@ import pytest
 
 import psqr
 from psqr import census, kernels, predict, psprimes
-from psqr.cli import main
+from psqr.cli import _parse_count, main
 from psqr.errors import PsqrError
 
 
@@ -76,6 +76,63 @@ def test_census_csv(capsys):
 def test_census_window_required(capsys):
     code, _, err = run_cli(capsys, "census", "2,3")
     assert code == 2
+
+
+def test_census_source_all_is_c_one(capsys):
+    window = ["--range", "100,5000", "--threads", "1"]
+    code, out, err = run_cli(capsys, "census", "2,3", "--c", "1/1", "--source", "all", *window)
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["params"]["source"] == "all"
+    assert run_cli(capsys, "census", "2,3", "--c", "1", *window)[:2] == (0, out)
+    # --c moves no size check for plain primes: another exponent is a conflict
+    code, out, err = run_cli(capsys, "census", "2,3", "--source", "all", "--c", "3/2", "--x", "5")
+    assert (code, out) == (2, "")
+    assert "--source all" in err and "--c 3/2" in err
+
+
+@pytest.mark.parametrize("window", [["--range", "100,200"], ["--x", "1"]])
+def test_census_prime_file_with_a_window_exit_2(tmp_path, capsys, window):
+    path = tmp_path / "primes.txt"
+    path.write_text("11\n13\n")
+    code, out, err = run_cli(capsys, "census", "2,3", "--prime-file", str(path), *window)
+    assert (code, out) == (2, "")
+    assert "prime_file or a window, not both" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "2,3", "--c", "255/254", "--x", "1e100000"],
+    ["predict", "2,3", "--x", "1e400"],
+    ["predict", "2,3", "--x", "2e308"],  # parses, but no float holds it
+])
+def test_huge_x_exit_4_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e308", 10**308),
+    (str(1 << 1024), 1 << 1024),
+    ("9" * 309, 10**309 - 1),
+    ("000" + "9" * 309, 10**309 - 1),
+    ("0e5", 0),
+    ("1e309", None),
+    ("10e308", None),
+    ("1" * 310, None),
+    ("1e10000000", None),
+    ("1e" + "9" * 5000, None),
+])
+def test_parse_count_digit_bound(text, value):
+    # the bound is read off the digit counts: no refused value is ever built
+    t0 = time.perf_counter()
+    if value is None:
+        with pytest.raises(psqr.Overflow):
+            _parse_count(text)
+    else:
+        assert _parse_count(text) == value
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_census_set_cap_exit_4(capsys):

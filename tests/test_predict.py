@@ -2,11 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from psqr.errors import SetTooLarge, XTooSmallWarning
+from psqr.errors import Overflow, PreconditionViolated, SetTooLarge, XTooSmallWarning
 from psqr.kernels import square_subset_family
 from psqr.predict import (
     THEOREM2_APPLIES,
@@ -114,6 +115,18 @@ def test_qr_count_asymptotic_examples():
     c11 = RationalExponent(11, 10)
     val = qr_count_asymptotic((2, 3), c11, 10**6)
     assert val == pytest.approx(0.25 * (10 / 11) * 10**6 / math.log(10**6))
+
+
+def test_qr_count_asymptotic_bounds():
+    c1 = RationalExponent(1, 1)
+    t0 = time.perf_counter()
+    for x in (10**400, 10**100_000):  # no float holds x: refused before any power
+        with pytest.raises(Overflow):
+            qr_count_asymptotic((2, 3), c1, x)
+    assert time.perf_counter() - t0 < 1.0
+    for x in (0, 1):  # x / log x needs x >= 2
+        with pytest.raises(PreconditionViolated):
+            qr_count_asymptotic((2, 3), c1, x)
 
 
 def test_qr_count_asymptotic_warns_below_threshold():
