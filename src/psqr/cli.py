@@ -22,7 +22,7 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import __version__
-from .census import CensusConfig, run_census
+from .census import MAX_BLOCKS, CensusConfig, run_census
 from .errors import CheckFailed, Overflow, ResourceLimit, UsageError
 from .expsums import (
     bilinear_check,
@@ -175,6 +175,9 @@ def cmd_psprimes(args) -> int:
     c = RationalExponent.parse(args.c)
     lo, hi = _parse_range(args.range)
     rng = PsPrimeRange(c, lo, hi)
+    # the list is held whole before it is written: a census's block budget bounds it
+    if hi - lo > MAX_BLOCKS * BLOCK_SIZE:
+        raise Overflow(f"a psprimes window is capped at {MAX_BLOCKS * BLOCK_SIZE} n, got {hi - lo}")
     lines = [f"# psqr psprimes c={c} range=({lo},{hi}]"]
     lines.extend(str(p) for _, p in ps_primes_in(rng))
     payload = "\n".join(lines) + "\n"

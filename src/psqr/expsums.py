@@ -16,12 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import Overflow, PreconditionViolated
 from .kernels import factorize
 from .psprimes import primes_up_to
 from .residues import jacobi_column
 
 TWO_PI = 2.0 * math.pi
+
+# input budgets, checked before what they bound is built (Overflow), well above
+# the benchmark's sizes (a 2**21 sieve for a scan, M ~ 4.2e5 for bilinear)
+MAX_SIEVE = 1 << 23        # sieve length: 2 max(N) for a scan, M for bilinear
+MAX_TRUNCATION = 1 << 16   # J of an expansion
+MAX_GRID = 1 << 22         # points of a majorant grid
+MAX_GRID_TERMS = 1 << 30   # grid points times J: the sines a majorant check evaluates
 
 
 def psi(x: float) -> float:
@@ -89,6 +96,8 @@ def build_expansion(J: int) -> TruncatedExpansion:
     """The pinned admissible coefficient family at truncation J."""
     if J < 1:
         raise PreconditionViolated(f"truncation must be >= 1, got {J}")
+    if J > MAX_TRUNCATION:
+        raise Overflow(f"truncation J is capped at {MAX_TRUNCATION}, got {J}")
     a: dict[int, complex] = {}
     b: dict[int, float] = {0: 1.0 / (2 * J + 2)}
     for j in range(1, J + 1):
@@ -103,8 +112,14 @@ def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> di
     """Dense-grid check that delta >= -tol and |psi - psi*| <= delta + tol.
 
     The grid pins integers and both one-sided neighborhoods, where the
-    sawtooth jumps and the bound is tight.
+    sawtooth jumps and the bound is tight. The grid is capped at MAX_GRID
+    points and MAX_GRID_TERMS points times J.
     """
+    if grid_points > MAX_GRID or grid_points * J > MAX_GRID_TERMS:
+        raise Overflow(
+            f"a majorant grid is capped at {MAX_GRID} points and {MAX_GRID_TERMS} "
+            f"points times J, got {grid_points} points at J = {J}"
+        )
     exp = build_expansion(J)
     xs = np.linspace(-2.5, 2.5, grid_points, endpoint=False)
     extra = []
@@ -293,6 +308,8 @@ def bilinear_check(
     if v > N:
         raise PreconditionViolated("identity needs v <= N so every summand exceeds v")
 
+    if M > MAX_SIEVE:
+        raise Overflow(f"M is capped at the sieve budget {MAX_SIEVE}, got {M}")
     lam = von_mangoldt_sieve(M)
     mu = mobius_sieve(M)
     # chi[n >> 1] = (s/n) for odd n <= M: every symbol the sums below take
@@ -442,11 +459,14 @@ class ExpSumReport:
 def cancellation_scan(
     gamma: float, s: int, N_list: Sequence[int], J: int | None = None
 ) -> ExpSumReport:
-    """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice)."""
+    """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice);
+    one von Mangoldt sieve to 2 max(N) <= MAX_SIEVE serves every row."""
     _require_squarefree(s)
     ns = [int(n) for n in N_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionViolated("N_list must be nonempty and strictly increasing")
+    if 2 * ns[-1] > MAX_SIEVE:
+        raise Overflow(f"2 N is capped at the sieve budget {MAX_SIEVE}, got N = {ns[-1]}")
     lam = von_mangoldt_sieve(2 * ns[-1])
     rows = []
     for N in ns:
@@ -459,22 +479,3 @@ def cancellation_scan(
             )
         )
     return ExpSumReport(gamma=float(gamma), s=s, rows=tuple(rows))
-
-
-# -- partial-summation factor --------------------------------------------------------
-
-def phi_factor(t: float, j: int, gamma: float) -> complex:
-    """1 - e(j((t+1)^gamma - t^gamma)); small when j t^(gamma-1) is."""
-    return 1.0 - cmath.exp(TWO_PI * 1j * j * ((t + 1.0) ** gamma - t**gamma))
-
-
-def fit_phi_constant(gamma: float, N: int, J: int, samples: int = 4096) -> float:
-    """Fitted C with |phi_j(t)| <= C j N**(gamma-1) over t in [N, 2N], j <= J."""
-    ts = np.linspace(N, 2 * N, samples)
-    deltas = (ts + 1.0) ** gamma - ts**gamma
-    scale = N ** (gamma - 1.0)
-    best = 0.0
-    for j in range(1, J + 1):
-        vals = np.abs(1.0 - np.exp(TWO_PI * 1j * j * deltas))
-        best = max(best, float(np.max(vals)) / (j * scale))
-    return best

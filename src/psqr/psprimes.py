@@ -42,8 +42,7 @@ _POW_BIT_BUDGET = 1 << 21     # cap on bits of n**num intermediates
 _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
 _SIEVE_SPAN = 1 << 8          # values of run width that cost the sieve one entry test (prime_flags)
-_FLOAT_GUARD = 2.0**-40       # relative half-width of the exactly certified band (ps_prime_array)
-_BELOW_2_64 = 2.0**64 - 2.0**11  # largest float below 2**64
+_WIDE = np.longdouble         # tried where float64 certifies no floor (ps_prime_array)
 # values prime_flags tests by batched Miller-Rabin (_mulmod's range); prime_flags
 # searches its uint64 values only with uint64 keys, which numpy compares
 # without first casting the whole array
@@ -256,11 +255,12 @@ def integer_nth_root(x: int, k: int, guess: int | None = None) -> int:
     if k == 1 or x < 2:
         return x
     if guess is None:
-        # 2**(log2(x)/k) to 52 bits, shifted into place; its relative error
-        # is about log2(x) 2**-53 / k, so Newton needs only a few steps
+        # 2**(log2(x)/k) to 52 bits, rounded up and shifted into place: within
+        # about log2(x) 2**-53 / k. Rounded down, a small root r could start 1/r
+        # low and overshoot by (1 + 1/r)**k / k: ~k**2 / r slow steps back
         e = math.log2(x) / k
         shift = max(int(e) - 52, 0)
-        guess = int(2.0 ** (e - shift)) << shift
+        guess = (int(2.0 ** (e - shift)) + 1) << shift
     # one integer Newton step from any r >= 1 lands at or above the floor of
     # the root (AM-GM), and Newton steps from above descend onto it
     r = max(guess, 1)
@@ -401,58 +401,88 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
 
     At c = 1 the floors are n itself, so the block is the primes in (lo, hi]:
     every plain-prime window (primes_in_range, a census of all primes) is a
-    c = 1 block. Otherwise the block takes float floors for the whole block,
-    and exact integer roots only for the n whose float power lies within a
-    guard band of an integer. The band is derived from the error of
-    f = pow(fl(n), fl(a/b)) against y = n**c; here
-    1 <= n < 2**64, since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
+    c = 1 block. Otherwise _certified_floors takes float floors for the whole
+    block, and exact integer roots only for the n whose float power lies
+    within a guard band of an integer. With c = a/b and u = eps/2 the float
+    type's unit roundoff, the band is derived from the error of
+    f = fl(n) pow(fl(n), fl((a - b)/b)) against y = n**c; here 1 <= n < 2**64,
+    since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
 
-    1. a/b: fl(a/b) = c(1 + e) with |e| <= 2**-53, so n**fl(a/b) = y exp(e c ln n),
-       and c ln n amplifies e to at most 2**-53 * 2 * 44.4 < 2**-46.4.
-    2. n: fl(n) is exact below 2**53; above, n passes through two roundings,
-       |fl(n)/n - 1| <= 2**-52, which the power at most doubles: < 2**-50.9.
-    3. pow: a correctly rounded libm is within 1 ulp, and numpy may dispatch to
-       a SIMD pow within a few; allow 2**10 ulp, a relative 2**-42.
-    Together |f - y| < 2**-41.9 y < 2**-41.8 f. With mf = floor(f) >= 1,
-    f < mf + 1 <= 2 mf, so |f - y| < 2**-40.8 mf < g = mf * _FLOAT_GUARD
-    (g is exact: scaling by a power of two).
-    4. floor(f) is exact, and so is f - floor(f): it lies on f's ulp grid and
+    1. (a - b)/b: its float is e(1 + d), |d| <= u, and (c - 1) ln n amplifies d
+       to at most 44.4 (c - 1) u: c/(c - 1) less than in pow(fl(n), fl(a/b)).
+    2. n: fl(n) is exact with a 64-bit significand; else n0 and n0 + i are
+       rounded, within 2u, so < 4u in y.
+    3. pow: numpy may dispatch float64 to a SIMD pow within a few ulp; allow
+       2**10 ulp, 2**11 u. Long double calls libm's powl, within 1 ulp in
+       glibc; allow 2**2 ulp, 2**3 u.
+    4. the product: u.
+    Their sum B < 2**-30, so |f - y| < B (1 + 2**-20) y covers every
+    higher-order term. With mf = floor(f) >= 1, f < mf + 1 <= 2 mf, so
+    |f - y| < g = mf * _guard(dtype, c), the next power of two above
+    2 B (1 + 2**-20), which keeps g exact: 2**-40 in float64 at every c, and
+    in x86's 80-bit long double 2**-59 at c = 11/10 and 2**-58 at 243/205.
+    5. floor(f) is exact, and so is f - floor(f): it lies on f's ulp grid and
        floor(f) >= f/2 (Sterbenz). 1 - r is exact for r >= 1/2, so
        d = min(r, 1 - r) is f's exact distance to the nearest integer.
     If d > g, the interval (f - g, f + g) holds y and no integer, so
     floor(y) = mf. Otherwise integer_nth_root certifies the floor from mf,
-    with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf >= 2**39 falls
-    in the band, and there the float floor only seeds the exact root.
+    with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf * _guard >= 1/2
+    falls in the band: from floors of 2**39 in float64. A block whose top
+    floor reaches that takes long double (_WIDE) instead, if it has a 64-bit
+    significand and certifies the block's first floor; otherwise the float64
+    floor only seeds the exact root.
 
     The floors strictly ascend, and prime_flags decides their primality: a
     block of dense floors below _SIEVE_VALUE_CAP is one segment-sieve lookup
     (at c = 1 the segment itself), and sparse or larger floors take batched
     or scalar Miller-Rabin.
     """
-    a, b = c.num, c.den
     n0 = lo + 1
-    if a == b:
+    if c.num == c.den:
         floors = np.arange(n0, hi + 1, dtype=np.uint64)
     else:
-        f = np.arange(hi - lo, dtype=np.float64)
-        f += float(n0)
-        np.power(f, a / b, out=f)
-        mf = np.floor(f)
-        np.subtract(f, mf, out=f)
-        np.minimum(f, 1.0 - f, out=f)
-        band = f <= mf * _FLOAT_GUARD
-        del f
-        # a cheap check that libm keeps within the allowance above
-        for i, exact in ((0, floor_pow(n0, c)), (-1, floor_pow(hi, c))):
-            if not band[i] and mf[i] != exact:
-                raise CheckFailed(
-                    f"float pow gives floor {int(mf[i])} where the exact floor is {exact}"
-                )
-        # a float floor may round up to 2**64; clamped ones lie in the band
-        floors = np.minimum(mf, _BELOW_2_64, out=mf).astype(np.uint64)
-        del mf
-        for i in np.flatnonzero(band).tolist():
-            floors[i] = integer_nth_root((n0 + i) ** a, b, int(floors[i]))
+        first, top = float(n0) ** float(c.value), float(hi) ** float(c.value)
+        wide = (np.finfo(_WIDE).nmant >= 63 and top * _guard(np.float64, c) >= 0.5
+                and first * _guard(_WIDE, c) < 0.5)
+        floors = _certified_floors(c, n0, hi, _WIDE if wide else np.float64)
 
     keep = np.flatnonzero(prime_flags(floors))
     return keep.astype(np.uint64) + np.uint64(n0), floors[keep]
+
+
+def _guard(dtype, c: RationalExponent) -> float:
+    """The band's relative half-width in the float type dtype at exponent c
+    (ps_prime_array)."""
+    u = float(np.finfo(dtype).eps) / 2
+    pow_ulps = 1 << 10 if np.dtype(dtype) == np.float64 else 1 << 2
+    n_err = 0.0 if np.finfo(dtype).nmant >= 63 else 4 * u
+    bound = 44.4 * (c.num - c.den) / c.den * u + n_err + 2 * pow_ulps * u + u
+    return 2.0 ** math.ceil(math.log2(2 * bound * (1 + 2**-20)))
+
+
+def _certified_floors(c: RationalExponent, n0: int, hi: int, dtype) -> np.ndarray:
+    """floor(n**c) for n0 <= n <= hi, c > 1, as a uint64 array: floors in the
+    float type dtype, and exact roots for the n in its guard band."""
+    a, b = c.num, c.den
+    n = np.arange(hi - n0 + 1, dtype=dtype)
+    n += dtype(n0)
+    f = np.power(n, dtype(a - b) / dtype(b))
+    f *= n
+    del n
+    mf = np.floor(f)
+    np.subtract(f, mf, out=f)
+    np.minimum(f, 1.0 - f, out=f)
+    band = f <= mf * _guard(dtype, c)
+    del f
+    # a float floor may round up to 2**64; clamped ones lie in the band
+    floors = np.minimum(mf, np.nextafter(dtype(2.0**64), dtype(0)), out=mf).astype(np.uint64)
+    del mf
+    # a cheap check that libm keeps within the allowance above
+    for i, n in ((0, n0), (-1, hi)):
+        if not band[i] and int(floors[i]) != (exact := floor_pow(n, c)):
+            raise CheckFailed(
+                f"float pow gives floor {int(floors[i])} where the exact floor is {exact}"
+            )
+    for i in np.flatnonzero(band).tolist():
+        floors[i] = integer_nth_root((n0 + i) ** a, b, int(floors[i]))
+    return floors

@@ -44,6 +44,37 @@ def test_psprimes_overflow_exit_4(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["psprimes", "--c", "1", "--range", "0,1e12"],
+    ["expsum", "scan", "--gamma", "205/243", "--s", "3", "--n-list", "1e12"],
+    ["expsum", "scan", "--gamma", "205/243", "--s", "3", "--n-list", "1e30"],
+    ["expsum", "bilinear", "--N", "100", "--M", "1000000000000", "--u", "5", "--v", "5",
+     "--j", "1", "--gamma", "10/11", "--s", "3"],
+    ["expsum", "psistar", "--J", "20", "--grid", "1000000000000"],
+    ["expsum", "psistar", "--J", "1000000000", "--grid", "2"],
+], ids=["psprimes", "scan", "scan-1e30", "bilinear", "psistar-grid", "psistar-J"])
+def test_unbounded_inputs_exit_4_before_allocating(capsys, argv):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (4, "")
+    assert "capped" in err and "Traceback" not in err
+    assert peak < 1 << 20
+
+
+def test_psprimes_window_budget_boundary(monkeypatch, capsys):
+    # a smaller block size scales the cap down so both sides of it run fast
+    monkeypatch.setattr("psqr.cli.BLOCK_SIZE", 1)
+    top = census.MAX_BLOCKS
+    assert run_cli(capsys, "psprimes", "--c", "1", "--range", f"0,{top}")[0] == 0
+    assert run_cli(capsys, "psprimes", "--c", "1", "--range", f"0,{top + 1}")[0] == 4
+
+
 def test_predict_command(capsys):
     code, out, _ = run_cli(capsys, "predict", "2,3", "--c", "1", "--x", "1e6")
     assert code == 0

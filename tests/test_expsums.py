@@ -1,27 +1,24 @@
 """Sawtooth expansion, Vaughan identity, and the cancellation sums."""
 
-import cmath
 import math
 import random
 
 import numpy as np
 import pytest
 
-from psqr.errors import PreconditionViolated
+from psqr import expsums
+from psqr.errors import Overflow, PreconditionViolated
 from psqr.expsums import (
     L1,
     L2,
-    TWO_PI,
     bilinear_check,
     build_expansion,
     cancellation_scan,
     default_truncation,
     divisors,
-    fit_phi_constant,
     majorant_check,
     mobius,
     mobius_sieve,
-    phi_factor,
     psi,
     vaughan,
     von_mangoldt,
@@ -219,14 +216,23 @@ def test_bilinear_preconditions():
         bilinear_check(10, 200, 5, 50, 1, 10 / 11, 3)  # v exceeds N
 
 
-def test_phi_factor_bound():
-    gamma = 205 / 243
-    C = fit_phi_constant(gamma, 4096, 40)
-    print(f"\nfitted phi constant at gamma={gamma:.4f}, N=4096, J=40: C={C:.4f}")
-    assert C <= TWO_PI * gamma + 1e-9
-    val = phi_factor(5000.0, 3, gamma)
-    delta = (5001.0**gamma - 5000.0**gamma)
-    assert val == pytest.approx(1.0 - cmath.exp(TWO_PI * 1j * 3 * delta))
+@pytest.mark.parametrize("call", [
+    lambda: cancellation_scan(205 / 243, 3, [4096, expsums.MAX_SIEVE // 2 + 1]),
+    lambda: bilinear_check(100, expsums.MAX_SIEVE + 1, 5, 5, 1, 10 / 11, 3),
+    lambda: majorant_check(1, grid_points=expsums.MAX_GRID + 1),
+    lambda: majorant_check(expsums.MAX_TRUNCATION,
+                           grid_points=expsums.MAX_GRID_TERMS // expsums.MAX_TRUNCATION + 1),
+    lambda: build_expansion(expsums.MAX_TRUNCATION + 1),
+], ids=["scan", "bilinear", "grid", "grid-terms", "truncation"])
+def test_expsum_budgets_refuse_before_allocating(monkeypatch, call):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError(f"a sieve or grid was built: {args}")
+
+    monkeypatch.setattr(expsums, "von_mangoldt_sieve", no_alloc)
+    monkeypatch.setattr(expsums, "mobius_sieve", no_alloc)
+    monkeypatch.setattr(np, "linspace", no_alloc)
+    with pytest.raises(Overflow):
+        call()
 
 
 def test_default_truncation_policy():

@@ -394,6 +394,15 @@ def test_c1_stream_tests_primality_without_sieving_past_the_caps(monkeypatch):
     assert got == [(n, n) for n in range(lo + 1, lo + 201) if is_prime(n)]
 
 
+# -- float floors in both precisions against floor_pow ---------------------------
+
+# at 255/254, n passes 2**53 while long double still certifies (floors of
+# 2**55): only a 64-bit significand holds such n exactly
+_FLOAT_CS = tuple(RationalExponent.parse(t) for t in ("11/10", "243/205", "3/2", "255/128", "255/254"))
+_WIDE_OK = np.finfo(np.longdouble).nmant >= 63
+_needs_wide = pytest.mark.skipif(not _WIDE_OK, reason="long double is no wider than float64 here")
+
+
 class _PowOffByOne:
     """numpy, except that power lands one above the true value."""
 
@@ -406,9 +415,80 @@ class _PowOffByOne:
 
 
 def test_ps_block_rejects_a_pow_outside_its_allowance(monkeypatch):
+    floors = mock.Mock(wraps=psprimes._certified_floors)
+    monkeypatch.setattr(psprimes, "_certified_floors", floors)
     monkeypatch.setattr(psprimes, "np", _PowOffByOne())
-    with pytest.raises(CheckFailed):
-        list(ps_primes_in(PsPrimeRange(RationalExponent(11, 10), 610_000, 620_000)))
+    cases = [(610_000, np.float64)]
+    if _WIDE_OK:  # floors near 2**52 take long double where it is wider than float64
+        cases.append((200_000_000_000_000, np.longdouble))
+    for lo, dtype in cases:
+        with pytest.raises(CheckFailed):
+            list(ps_primes_in(PsPrimeRange(RationalExponent(11, 10), lo, lo + 10_000)))
+        assert floors.call_args.args[3] is dtype
+
+
+def _block_around(c, value, before, after):
+    """(lo, hi) around the first n whose floor reaches value, within the budget."""
+    top = _n_max(c)
+    n = min(_n_at(value, c) + 1, top)
+    hi = min(n + after, top)
+    return max(0, min(n - 1 - before, hi - 1)), hi
+
+
+def _float_floors(c, lo, hi, dtype):
+    floors = psprimes._certified_floors(c, lo + 1, hi, dtype)
+    assert floors.dtype == np.uint64
+    return floors.tolist()
+
+
+@st.composite
+def float_blocks(draw):
+    c = draw(st.sampled_from(_FLOAT_CS))
+    k = draw(st.integers(4, 63))
+    value = draw(st.integers(1 << k, (1 << (k + 1)) - 1))
+    return c, *_block_around(c, value, draw(st.integers(0, 30)), draw(st.integers(1, 30)))
+
+
+@_differential
+@given(float_blocks(), st.sampled_from((np.float64, np.longdouble)))
+def test_float_floors_match_floor_pow(block, dtype):
+    # either float type at any size: the band sends what it cannot certify to the exact root
+    c, lo, hi = block
+    assert _float_floors(c, lo, hi, dtype) == [floor_pow(n, c) for n in range(lo + 1, hi + 1)]
+
+
+# float64 certifies nothing from 2**39; long double still certifies at 2**55 for
+# every exponent tested, and nothing next to 2**64
+_PRECISION_EDGES = (1 << 39, 1 << 53, 1 << 55, PRIME_BUDGET - 1)
+
+
+@pytest.mark.parametrize("value", _PRECISION_EDGES, ids=("2^39", "2^53", "2^55", "2^64-1"))
+@pytest.mark.parametrize("c", _FLOAT_CS, ids=str)
+@pytest.mark.parametrize("wide", (np.longdouble, np.float64), ids=("longdouble", "no-wider"))
+def test_ps_block_floats_at_the_precision_edges(monkeypatch, value, c, wide):
+    # _WIDE = float64 stands for a platform whose long double is no wider than float64
+    monkeypatch.setattr(psprimes, "_WIDE", wide)
+    floors = mock.Mock(wraps=psprimes._certified_floors)
+    monkeypatch.setattr(psprimes, "_certified_floors", floors)
+    lo, hi = _block_around(c, value, 40, 40)
+    ns, got = psprimes.ps_prime_array(c, lo, hi)
+    assert list(zip(ns.tolist(), got.tolist())) == _oracle(c, lo, hi)
+    # the wide float certifies nothing next to 2**64, so float64 seeds the roots there
+    wide_used = wide is np.longdouble and _WIDE_OK and value < PRIME_BUDGET - 1
+    assert floors.call_args.args[3] is (np.longdouble if wide_used else np.float64)
+    for dtype in (np.float64, np.longdouble):
+        assert _float_floors(c, lo, hi, dtype) == [floor_pow(n, c) for n in range(lo + 1, hi + 1)]
+
+
+@_needs_wide
+def test_guards_as_derived():
+    # float64 keeps 2**-40 at every c; long double's shrinks with c - 1
+    assert {psprimes._guard(np.float64, c) for c in _FLOAT_CS} == {2.0**-40}
+    assert psprimes._guard(np.longdouble, RationalExponent(11, 10)) == 2.0**-59
+    assert psprimes._guard(np.longdouble, RationalExponent(243, 205)) == 2.0**-58
+    # so long double certifies floors up to 2**56 at each exponent tested
+    for c in _FLOAT_CS:
+        assert psprimes._guard(np.longdouble, c) <= 2.0**-57
 
 
 # -- batched primality against is_prime ----------------------------------------
