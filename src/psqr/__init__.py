@@ -11,7 +11,7 @@ from .census import (
     CensusConfig,
     CensusReport,
     convergence_table,
-    read_prime_file,
+    prime_file_blocks,
     run_census,
     write_prime_file,
 )
@@ -72,7 +72,6 @@ from .psprimes import (
     integer_nth_root,
     is_prime,
     is_ps_prime,
-    primes_in_range,
     ps_primes_in,
 )
 from .residues import SignPattern, jacobi, legendre_euler, pattern_at

@@ -3,11 +3,12 @@
 A census reads its primes from exactly one place: a prime-list file (one
 decimal prime per line, ascending, '#' comments), or the PS primes [n^c] of
 an n-window at the config's exponent. Plain primes are the window at c = 1,
-whose floors are n itself. Work is split into fixed blocks (at most
-MAX_BLOCKS n-blocks of a window, each of at most MAX_BLOCK_SIZE n or primes)
-merged in block order, so reports are byte-identical for any thread count.
-Every block hands its primes to the histogram as one uint64 array:
-psprimes.ps_prime_array's floors, or a slice of the file.
+whose floors are n itself. Work streams, in block order, through fixed
+blocks of at most MAX_BLOCK_SIZE n or primes (PsPrimeRange.blocks or
+prime_file_blocks), so memory does not grow with the input and reports are
+byte-identical for any thread count. Every block hands its primes to the
+histogram as one uint64 array: psprimes.ps_prime_array's floors, or a
+verified block of the file.
 
 Symbols come from the set's odd-exponent prime basis, read off the
 factorizations the square-subset family already holds, so each element is
@@ -26,9 +27,10 @@ import dataclasses
 import json
 import math
 from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,11 +42,10 @@ from .psprimes import (
 )
 from .residues import symbol_bits
 
-# blocks one window may be split into: the task list (~200 bytes a block) and,
-# with a pool, one future per block are built before the first block runs
-MAX_BLOCKS = 1 << 16
 # n (or primes) per block: a window block holds ~40 bytes per n
 MAX_BLOCK_SIZE = 1 << 22
+# worker processes, each with its own numpy working set: a pool forks them all at once
+MAX_THREADS = 1 << 5
 
 
 @dataclass(frozen=True)
@@ -127,42 +128,51 @@ class CensusReport:
 
 # -- prime-list files ---------------------------------------------------------
 
-def read_prime_file(path: str) -> tuple[int, ...]:
-    """Load a prime-list file; every entry is primality-checked on ingest.
+def prime_file_blocks(path: str, block_size: int = BLOCK_SIZE) -> Iterator[np.ndarray]:
+    """Stream a prime-list file as uint64 arrays of up to block_size entries,
+    each primality-checked before it is yielded.
 
-    Entries are ASCII decimal integers below 2**64, strictly ascending. The
-    file is parsed up to its first malformed line, then the parsed entries
-    are checked by one prime_flags call; the earliest bad line is reported.
+    Entries are ASCII decimal integers below 2**64, strictly ascending. A
+    block is parsed up to its end or the file's first malformed line, then
+    its entries are checked by one prime_flags call. Every earlier block
+    passed, so the earliest bad line is the one reported.
     """
-    primes, lines = array("Q"), array("Q")  # entries and their line numbers, unboxed
     error: Exception | None = None
     last = 0
     with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not (line.isascii() and line.isdigit()):
-                error = BadPrimeFile(f"{path}:{ln}: not a decimal integer: {line!r}")
-                break
-            # 2**64 has 20 digits; a longer line is not handed to int()
-            p = int(line) if len(line.lstrip("0")) <= 20 else PRIME_BUDGET
-            if p >= PRIME_BUDGET:
-                error = Overflow(f"{path}:{ln}: entry exceeds the 2**64 prime budget")
-                break
-            if p <= last:
-                error = BadPrimeFile(f"{path}:{ln}: entries must be strictly ascending")
-                break
-            primes.append(p)
-            lines.append(ln)
-            last = p
-    composite = np.flatnonzero(~prime_flags(np.frombuffer(primes, dtype=np.uint64)))
-    if composite.size:
-        k = int(composite[0])
-        raise BadPrimeFile(f"{path}:{lines[k]}: {primes[k]} is not prime")
-    if error is not None:
-        raise error
-    return tuple(primes)
+        numbered = enumerate(fh, 1)
+        while True:
+            primes, lines = array("Q"), array("Q")  # entries and their line numbers, unboxed
+            for ln, raw in numbered:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if not (line.isascii() and line.isdigit()):
+                    error = BadPrimeFile(f"{path}:{ln}: not a decimal integer: {line!r}")
+                    break
+                # 2**64 has 20 digits; a longer line is not handed to int()
+                p = int(line) if len(line.lstrip("0")) <= 20 else PRIME_BUDGET
+                if p >= PRIME_BUDGET:
+                    error = Overflow(f"{path}:{ln}: entry exceeds the 2**64 prime budget")
+                    break
+                if p <= last:
+                    error = BadPrimeFile(f"{path}:{ln}: entries must be strictly ascending")
+                    break
+                primes.append(p)
+                lines.append(ln)
+                last = p
+                if len(primes) == block_size:
+                    break
+            values = np.frombuffer(primes, dtype=np.uint64)
+            composite = np.flatnonzero(~prime_flags(values))
+            if composite.size:
+                k = int(composite[0])
+                raise BadPrimeFile(f"{path}:{lines[k]}: {primes[k]} is not prime")
+            if error is not None:
+                raise error
+            if not values.size:
+                return
+            yield values
 
 
 def write_prime_file(path: str, primes: Iterable[int], comment: str | None = None) -> int:
@@ -216,31 +226,29 @@ def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[i
 
 
 def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
-    basis, block = task  # a slice of the prime file, or a window (c, lo, hi)
+    basis, block = task  # a block of the prime file, or a window (c, lo, hi)
     primes = block if isinstance(block, np.ndarray) else ps_prime_array(*block)[1]
     return _count_patterns(basis, primes)
 
 
-def _block_tasks(config: CensusConfig, family: SquareSubsetFamily) -> list[tuple]:
-    basis = _basis(family)
-    step = config.block_size
-    if config.prime_file is not None:
-        if (config.x, config.lo, config.hi) != (None, None, None):
-            raise PreconditionViolated("a census reads a prime_file or a window, not both")
-        primes = np.array(read_prime_file(config.prime_file), dtype=np.uint64)
-        slices = [primes[i : i + step] for i in range(0, primes.size, step)] or [primes]
-        return [(basis, block) for block in slices]
-    rng = config.window()
-    blocks = -(-(rng.hi - rng.lo) // step)
-    if blocks > MAX_BLOCKS:
-        raise Overflow(
-            f"the window spans {blocks} blocks of {step} n; the budget is "
-            f"{MAX_BLOCKS} blocks (a larger block size covers a wider window)"
-        )
-    return [
-        (basis, (rng.exponent, b_lo, min(b_lo + step, rng.hi)))
-        for b_lo in range(rng.lo, rng.hi, step)
-    ]
+def _run_blocks(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
+    """fn over tasks, lazily and in task order: map at threads == 1, else one
+    process pool with at most 2 x threads tasks in flight, whose queued tasks
+    are cancelled and workers joined however the run ends."""
+    if threads == 1:
+        yield from map(fn, tasks)
+        return
+    executor = ProcessPoolExecutor(max_workers=threads)
+    try:
+        in_flight = deque()
+        for task in tasks:
+            in_flight.append(executor.submit(fn, task))
+            if len(in_flight) == 2 * threads:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def run_census(config: CensusConfig) -> CensusReport:
@@ -251,11 +259,18 @@ def run_census(config: CensusConfig) -> CensusReport:
         raise PreconditionViolated("block_size and threads must be positive")
     if config.block_size > MAX_BLOCK_SIZE:
         raise Overflow(f"block_size is capped at {MAX_BLOCK_SIZE}, got {config.block_size}")
+    if config.threads > MAX_THREADS:
+        raise Overflow(f"threads are capped at {MAX_THREADS}, got {config.threads}")
 
     prediction = parity_analysis(config.elements)
-    # the window is validated first, so x < 2**64 bounds the power below
-    tasks = _block_tasks(config, prediction.family)
+    if config.prime_file is not None:
+        if (config.x, config.lo, config.hi) != (None, None, None):
+            raise PreconditionViolated("a census reads a prime_file or a window, not both")
+        blocks = prime_file_blocks(config.prime_file, config.block_size)
+    else:
+        blocks = config.window().blocks(config.block_size)
     if config.x is not None:
+        # the window is validated first, so x < 2**64 bounds the power below;
         # dyadic windows must dominate prod(S)**gamma for the side condition to vanish
         prod = math.prod(config.elements)
         if config.x ** config.exponent.num <= prod**config.exponent.den:
@@ -263,15 +278,9 @@ def run_census(config: CensusConfig) -> CensusReport:
                 f"x = {config.x} does not exceed prod(S)**gamma for S = {config.elements}"
             )
 
-    if config.threads == 1:
-        partials = map(_census_block, tasks)
-    else:
-        executor = ProcessPoolExecutor(max_workers=config.threads)
-        try:
-            partials = list(executor.map(_census_block, tasks))
-        finally:
-            executor.shutdown()
-
+    basis = _basis(prediction.family)
+    tasks = ((basis, block) for block in blocks)
+    partials = _run_blocks(_census_block, tasks, config.threads)
     total = 0
     skipped = 0
     mask_counts: dict[int, int] = {}

@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible runs with machine-readable reports.
 
-Every command prints its report either to stdout or to --out, and emits a
-run manifest (command, parameters, version, wall time, output checksum) on
-stderr; with --out the manifest is also written next to the report.
+Every command streams its report to stdout, or to --out, which appears only
+once complete, then emits a run manifest (command, parameters, version, wall
+time, output checksum) on stderr; with --out the manifest is also written
+next to the report. A command that fails emits no manifest.
 
 Exit codes: 0 success, 2 usage or parse error, 3 failed numerical check,
 4 resource limit (an integer or value budget, a set too large, memory
@@ -13,16 +14,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
-from .census import MAX_BLOCKS, CensusConfig, run_census
+from .census import CensusConfig, run_census
 from .errors import CheckFailed, Overflow, ResourceLimit, UsageError
 from .expsums import (
     bilinear_check,
@@ -33,7 +37,7 @@ from .expsums import (
 )
 from .kernels import square_subset_family
 from .predict import parity_analysis, qr_count_asymptotic
-from .psprimes import BLOCK_SIZE, PsPrimeRange, RationalExponent, ps_primes_in
+from .psprimes import BLOCK_SIZE, PsPrimeRange, RationalExponent, ps_prime_array
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -72,30 +76,32 @@ def _parse_gamma(text: str) -> float:
         raise ValueError(f"{text!r} is not a fraction") from None
 
 
-def _default_threads() -> int:
+def _emit(command: str, params: dict, chunks: Iterable[str], out: str | None, t0: float) -> None:
+    """Write the report, hashing and writing each chunk as it comes, then its
+    run manifest, the reproducibility record. With out, the chunks go to a
+    sibling temporary file that replaces out only once the last is written."""
+    digest = hashlib.sha256()
+    part = f"{out}.{os.getpid()}.part"
     try:
-        return max(1, int(os.environ.get("PSQR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _emit(command: str, params: dict, payload: str, out: str | None, t0: float) -> None:
-    """Write the report and its run manifest, the reproducibility record."""
-    data = payload.encode("utf-8")
+        with open(part, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as fh:
+            for chunk in chunks:
+                digest.update(chunk.encode("utf-8"))
+                fh.write(chunk)
+        if out:
+            os.replace(part, out)
+    finally:
+        if out and os.path.exists(part):
+            os.remove(part)
     manifest = {
         "command": command,
         "params": params,
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
-        "output_sha256": hashlib.sha256(data).hexdigest(),
+        "output_sha256": digest.hexdigest(),
     }
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(payload)
     print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
@@ -109,7 +115,7 @@ def cmd_family(args) -> int:
     t0 = time.perf_counter()
     elements = _parse_set(args.set)
     fam = square_subset_family(elements)
-    _emit("family", {"set": list(elements)}, _json(fam.to_json_dict()), args.out, t0)
+    _emit("family", {"set": list(elements)}, [_json(fam.to_json_dict())], args.out, t0)
     return 0
 
 
@@ -129,7 +135,7 @@ def cmd_predict(args) -> int:
         doc["qr_count_main_term"] = main
         doc["nqr_count_main_term"] = float(pred.nqr_density) * scale
     params = {"set": list(elements), "c": str(c), "x": args.x}
-    _emit("predict", params, _json(doc), args.out, t0)
+    _emit("predict", params, [_json(doc)], args.out, t0)
     return 0
 
 
@@ -166,7 +172,7 @@ def cmd_census(args) -> int:
         "threads": args.threads,
         "csv": bool(args.csv),
     }
-    _emit("census", params, payload, args.out, t0)
+    _emit("census", params, [payload], args.out, t0)
     return 0
 
 
@@ -175,14 +181,12 @@ def cmd_psprimes(args) -> int:
     c = RationalExponent.parse(args.c)
     lo, hi = _parse_range(args.range)
     rng = PsPrimeRange(c, lo, hi)
-    # the list is held whole before it is written: a census's block budget bounds it
-    if hi - lo > MAX_BLOCKS * BLOCK_SIZE:
-        raise Overflow(f"a psprimes window is capped at {MAX_BLOCKS * BLOCK_SIZE} n, got {hi - lo}")
-    lines = [f"# psqr psprimes c={c} range=({lo},{hi}]"]
-    lines.extend(str(p) for _, p in ps_primes_in(rng))
-    payload = "\n".join(lines) + "\n"
+    header = f"# psqr psprimes c={c} range=({lo},{hi}]\n"
+    # each block's primes are written once certified, so memory holds one block
+    primes = (ps_prime_array(*block)[1].tolist() for block in rng.blocks(BLOCK_SIZE))
+    chunks = itertools.chain([header], ("".join(f"{p}\n" for p in ps) for ps in primes))
     params = {"c": str(c), "range": [lo, hi]}
-    _emit("psprimes", params, payload, args.out, t0)
+    _emit("psprimes", params, chunks, args.out, t0)
     return 0
 
 
@@ -203,7 +207,7 @@ def cmd_expsum_vaughan(args) -> int:
         "verdict": "PASS" if passed else "FAIL",
     }
     params = {"n": args.n, "u": args.u, "v": args.v}
-    _emit("expsum.vaughan", params, _json(doc), args.out, t0)
+    _emit("expsum.vaughan", params, [_json(doc)], args.out, t0)
     return 0 if passed else 3
 
 
@@ -212,7 +216,7 @@ def cmd_expsum_psistar(args) -> int:
     result = majorant_check(args.J, grid_points=args.grid)
     result["verdict"] = "PASS" if result["passed"] else "FAIL"
     params = {"J": args.J, "grid": args.grid}
-    _emit("expsum.psistar", params, _json(result), args.out, t0)
+    _emit("expsum.psistar", params, [_json(result)], args.out, t0)
     return 0 if result["passed"] else 3
 
 
@@ -226,7 +230,7 @@ def cmd_expsum_scan(args) -> int:
     report = cancellation_scan(gamma, args.s, n_list, J=args.J)
     payload = _json(report.to_json_dict()) if args.json else report.to_csv()
     params = {"gamma": args.gamma, "s": args.s, "n_list": n_list, "J": args.J}
-    _emit("expsum.scan", params, payload, args.out, t0)
+    _emit("expsum.scan", params, [payload], args.out, t0)
     return 0
 
 
@@ -253,7 +257,7 @@ def cmd_expsum_bilinear(args) -> int:
         "verdict": "PASS" if passed else "FAIL",
     }
     params = {k: doc[k] for k in ("N", "M", "u", "v", "j", "gamma", "s")}
-    _emit("expsum.bilinear", params, _json(doc), args.out, t0)
+    _emit("expsum.bilinear", params, [_json(doc)], args.out, t0)
     return 0 if passed else 3
 
 
@@ -285,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=("ps", "all"), default="ps",
                    help="all: every prime in the window, the PS primes at c = 1")
     p.add_argument("--prime-file", help="census this prime list instead of a window")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    # argparse converts a string default with type, so a bad PSQR_THREADS exits 2
+    p.add_argument("--threads", type=int, default=os.environ.get("PSQR_THREADS", "1"))
     p.add_argument("--block-size", type=int, default=BLOCK_SIZE)
     p.add_argument("--csv", action="store_true", help="CSV report instead of JSON")
     p.add_argument("--out")

@@ -373,6 +373,14 @@ class PsPrimeRange:
         if self.hi >= PRIME_BUDGET or floor_pow(self.hi, self.exponent) >= PRIME_BUDGET:
             raise Overflow("hi**c exceeds the 64-bit prime budget")
 
+    def blocks(self, size: int) -> Iterator[tuple[RationalExponent, int, int]]:
+        """The window's n-blocks (c, b_lo, b_hi), ascending, of size n but the
+        last, and generated lazily: ps_prime_array's arguments."""
+        if size < 1:
+            raise PreconditionViolated("block_size must be positive")
+        for b_lo in range(self.lo, self.hi, size):
+            yield self.exponent, b_lo, min(b_lo + size, self.hi)
+
 
 BLOCK_SIZE = 1 << 16
 
@@ -380,19 +388,11 @@ BLOCK_SIZE = 1 << 16
 def ps_primes_in(rng: PsPrimeRange, block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, int]]:
     """Yield (n, floor(n**c)) for rng.lo < n <= rng.hi where the floor is prime.
 
-    Processed in fixed n-blocks of ps_prime_array; ascending in n.
+    Processed in the window's blocks by ps_prime_array; ascending in n.
     """
-    if block_size < 1:
-        raise PreconditionViolated("block_size must be positive")
-    for b_lo in range(rng.lo, rng.hi, block_size):
-        ns, floors = ps_prime_array(rng.exponent, b_lo, min(b_lo + block_size, rng.hi))
+    for block in rng.blocks(block_size):
+        ns, floors = ps_prime_array(*block)
         yield from zip(ns.tolist(), floors.tolist())
-
-
-def primes_in_range(lo: int, hi: int, chunk: int = BLOCK_SIZE) -> Iterator[int]:
-    """Primes p with lo < p <= hi, 0 <= lo < hi < 2**64, ascending: the c = 1
-    PS stream, whose floors are n itself."""
-    return (p for _, p in ps_primes_in(PsPrimeRange(RationalExponent(1, 1), lo, hi), chunk))
 
 
 def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,7 +400,7 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
     ascending uint64 arrays; 0 <= lo < hi with floor(hi**c) < PRIME_BUDGET.
 
     At c = 1 the floors are n itself, so the block is the primes in (lo, hi]:
-    every plain-prime window (primes_in_range, a census of all primes) is a
+    every plain-prime window (a census of all primes, psprimes --c 1) is a
     c = 1 block. Otherwise _certified_floors takes float floors for the whole
     block, and exact integer roots only for the n whose float power lies
     within a guard band of an integer. With c = a/b and u = eps/2 the float

@@ -6,6 +6,8 @@ import math
 import os
 import tempfile
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from psqr import census, kernels, residues
 from psqr.census import (
     CensusConfig,
     convergence_table,
-    read_prime_file,
+    prime_file_blocks,
     run_census,
     write_prime_file,
 )
@@ -30,6 +32,7 @@ from psqr.errors import (
 from psqr.kernels import _mask_key, factorize, square_subset_family
 from psqr.psprimes import (
     _SIEVE_VALUE_CAP,
+    BLOCK_SIZE,
     PRIME_BUDGET,
     PsPrimeRange,
     RationalExponent,
@@ -186,25 +189,32 @@ def test_file_round_trip(window):
     assert direct.to_json() == ingested.to_json()
 
 
+def _file_entries(path, block_size=BLOCK_SIZE):
+    return [p for block in prime_file_blocks(path, block_size) for p in block.tolist()]
+
+
 def test_prime_file_validation(tmp_path):
     good = tmp_path / "good.txt"
     good.write_text("# comment\n11\n13\n\n17\n")
-    assert read_prime_file(str(good)) == (11, 13, 17)
+    assert _file_entries(str(good)) == [11, 13, 17]
+    blocks = list(prime_file_blocks(str(good), 2))
+    assert [b.tolist() for b in blocks] == [[11, 13], [17]]
+    assert {b.dtype for b in blocks} == {np.dtype(np.uint64)}
 
     bad_order = tmp_path / "order.txt"
     bad_order.write_text("13\n11\n")
     with pytest.raises(BadPrimeFile):
-        read_prime_file(str(bad_order))
+        _file_entries(str(bad_order))
 
     composite = tmp_path / "composite.txt"
     composite.write_text("11\n15\n")
     with pytest.raises(BadPrimeFile):
-        read_prime_file(str(composite))
+        _file_entries(str(composite))
 
     junk = tmp_path / "junk.txt"
     junk.write_text("11\ntwelve\n")
     with pytest.raises(BadPrimeFile):
-        read_prime_file(str(junk))
+        _file_entries(str(junk))
 
 
 @pytest.mark.parametrize("body, error, message", [
@@ -230,12 +240,14 @@ def test_prime_file_validation(tmp_path):
 def test_prime_file_rejects_the_earliest_bad_line(tmp_path, body, error, message):
     path = tmp_path / "primes.txt"
     path.write_text(body, encoding="utf-8")
-    if error is None:
-        assert read_prime_file(str(path))[-1] == int(body.split()[-1])
-        return
-    with pytest.raises(error) as info:
-        read_prime_file(str(path))
-    assert f"{path}{message}" in str(info.value)
+    # one entry a block puts each bad line in a later block than the good ones
+    for block_size in (1, BLOCK_SIZE):
+        if error is None:
+            assert _file_entries(str(path), block_size)[-1] == int(body.split()[-1])
+            continue
+        with pytest.raises(error) as info:
+            _file_entries(str(path), block_size)
+        assert f"{path}{message}" in str(info.value)
 
 
 def test_window_validation(tmp_path):
@@ -266,6 +278,14 @@ def _budget_n(c):
 
 C255 = RationalExponent(255, 254)
 _TOP_255 = _budget_n(C255)
+
+
+class _FirstBlock(Exception):
+    """A census reached its first block."""
+
+
+def _first_block(task):
+    raise _FirstBlock
 
 
 @st.composite
@@ -302,18 +322,21 @@ def census_inputs(draw):
 @example((C255, (2, 3), None, _TOP_255 - 600, _TOP_255, False))
 @example((C255, (2, 3), None, _TOP_255 - 600, _TOP_255 + 1, False))
 def test_window_validation_property(case):
-    # every mix either censuses or raises a documented class, in bounded time
+    # every mix either censuses or raises a documented class, in bounded time;
+    # a dyadic window past one block is only run up to its first block
     c, elements, x, lo, hi, from_file = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "primes.txt")
         write_prime_file(path, [11, 13, 17, 19])
         config = CensusConfig(elements=elements, exponent=c, x=x, lo=lo, hi=hi,
                               prime_file=path if from_file else None)
+        wide = x is not None and x > BLOCK_SIZE
         t0 = time.perf_counter()
         try:
-            report = run_census(config)
+            with mock.patch.object(census, "_census_block", _first_block) if wide else nullcontext():
+                report = run_census(config)
             outcome = None
-        except (PreconditionViolated, WindowTooSmall, Overflow) as exc:
+        except (PreconditionViolated, WindowTooSmall, Overflow, _FirstBlock) as exc:
             outcome = type(exc)
         assert time.perf_counter() - t0 < 1.0
     window = None  # stays None for a mix that is not one window
@@ -384,7 +407,6 @@ def test_census_square_singleton_is_all_residue():
 
 
 def test_census_counts_match_pattern_at():
-    from psqr.psprimes import primes_in_range
     from psqr.residues import pattern_at
 
     elements = (3, 5, 7)
@@ -392,7 +414,7 @@ def test_census_counts_match_pattern_at():
     counts: dict[str, int] = {}
     skipped = 0
     total = 0
-    for p in primes_in_range(10, 2000):
+    for p in (p for p in primes_up_to(2000).tolist() if p > 10):
         total += 1
         pat = pattern_at(elements, p)
         if pat is None:

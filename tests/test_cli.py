@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -12,7 +14,7 @@ import pytest
 import psqr
 from psqr import census, kernels, predict, psprimes
 from psqr.cli import _parse_count, main
-from psqr.errors import PsqrError
+from psqr.errors import CheckFailed, PsqrError
 
 
 def run_cli(capsys, *argv):
@@ -45,14 +47,13 @@ def test_psprimes_overflow_exit_4(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["psprimes", "--c", "1", "--range", "0,1e12"],
     ["expsum", "scan", "--gamma", "205/243", "--s", "3", "--n-list", "1e12"],
     ["expsum", "scan", "--gamma", "205/243", "--s", "3", "--n-list", "1e30"],
     ["expsum", "bilinear", "--N", "100", "--M", "1000000000000", "--u", "5", "--v", "5",
      "--j", "1", "--gamma", "10/11", "--s", "3"],
     ["expsum", "psistar", "--J", "20", "--grid", "1000000000000"],
     ["expsum", "psistar", "--J", "1000000000", "--grid", "2"],
-], ids=["psprimes", "scan", "scan-1e30", "bilinear", "psistar-grid", "psistar-J"])
+], ids=["scan", "scan-1e30", "bilinear", "psistar-grid", "psistar-J"])
 def test_unbounded_inputs_exit_4_before_allocating(capsys, argv):
     tracemalloc.start()
     t0 = time.perf_counter()
@@ -65,14 +66,6 @@ def test_unbounded_inputs_exit_4_before_allocating(capsys, argv):
     assert (code, out) == (4, "")
     assert "capped" in err and "Traceback" not in err
     assert peak < 1 << 20
-
-
-def test_psprimes_window_budget_boundary(monkeypatch, capsys):
-    # a smaller block size scales the cap down so both sides of it run fast
-    monkeypatch.setattr("psqr.cli.BLOCK_SIZE", 1)
-    top = census.MAX_BLOCKS
-    assert run_cli(capsys, "psprimes", "--c", "1", "--range", f"0,{top}")[0] == 0
-    assert run_cli(capsys, "psprimes", "--c", "1", "--range", f"0,{top + 1}")[0] == 4
 
 
 def test_predict_command(capsys):
@@ -189,8 +182,15 @@ def test_census_all_primes_is_the_c1_stream_past_the_sieve_caps(capsys, monkeypa
     assert run_cli(capsys, "census", "3,5", "--c", "1", *window)[:2] == (0, out)
 
 
-def test_census_wide_window_exit_4_before_planning(capsys):
-    # 1e13 n in 2**16-n blocks would be ~1.5e8 tasks, planned before any block runs
+def test_census_wide_window_plans_one_block_at_a_time(capsys, monkeypatch):
+    # 1e13 n are ~1.5e8 blocks of 2**16 n: the first runs before the rest exist
+    tasks = []
+
+    def stop(task):
+        tasks.append(task)
+        raise MemoryError
+
+    monkeypatch.setattr(census, "_census_block", stop)
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -199,18 +199,45 @@ def test_census_wide_window_exit_4_before_planning(capsys):
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - t0 < 1.0
-    assert code == 4 and out == ""
-    assert f"budget is {census.MAX_BLOCKS} blocks" in err
+    assert (code, out) == (4, "")
+    assert [block for _, block in tasks] == [(psprimes.RationalExponent(11, 10), 1, 1 + (1 << 16))]
     assert peak < 1 << 20
 
 
-def test_census_block_budget_boundary():
-    top = census.MAX_BLOCKS + 1
-    config = census.CensusConfig(elements=(2, 3), lo=1, hi=top, block_size=1)
-    family = kernels.square_subset_family(config.elements)
-    assert len(census._block_tasks(config, family)) == census.MAX_BLOCKS
-    with pytest.raises(psqr.Overflow):
-        census._block_tasks(dataclasses.replace(config, hi=top + 1), family)
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_psprimes_memory_does_not_grow_with_the_window(tmp_path, capsys):
+    # a whole list of 2**20 n holds ~82k prime strings; a streamed one, one block
+    def psprimes(hi):
+        argv = ["psprimes", "--c", "1", "--range", f"0,{hi}", "--out", str(tmp_path / "ps.txt")]
+        assert run_cli(capsys, *argv)[0] == 0
+
+    psprimes(1 << 18)  # warm the base-prime cache
+    small, large = _traced_peak(psprimes, 1 << 18), _traced_peak(psprimes, 1 << 20)
+    assert large < 1.25 * small
+
+
+def test_prime_file_census_memory_does_not_grow_with_the_file(tmp_path, capsys):
+    primes = psprimes.primes_up_to(1 << 20).tolist()
+    paths = []
+    for count in (1 << 14, 1 << 16):
+        paths.append(tmp_path / f"{count}.txt")
+        census.write_prime_file(str(paths[-1]), primes[:count])
+
+    def census_of(path):
+        argv = ["census", "2,3", "--prime-file", str(path), "--block-size", "4096"]
+        assert run_cli(capsys, *argv)[0] == 0
+
+    census_of(paths[0])
+    small, large = _traced_peak(census_of, paths[0]), _traced_peak(census_of, paths[1])
+    assert large < 1.25 * small
 
 
 @pytest.mark.parametrize("source", ["ps", "all"])
@@ -222,6 +249,67 @@ def test_census_block_size_cap_exit_4(capsys, source):
     code, out, err = run_cli(capsys, *argv, "--block-size", str(cap + 1))
     assert code == 4 and out == ""
     assert f"capped at {cap}" in err
+
+
+def test_census_thread_cap_exit_4_before_any_process(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+    cap = census.MAX_THREADS
+    argv = ["census", "2,3", "--x", "1e4", "--threads", str(cap + 1)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert f"capped at {cap}" in err and "Traceback" not in err
+
+
+def _fail_past_the_first_block(c, lo, hi):
+    if lo > 10**4:
+        raise CheckFailed("forced")
+    return psprimes.ps_prime_array(c, lo, hi)
+
+
+def _crash_past_the_first_block(c, lo, hi):
+    if lo > 10**4:
+        os._exit(1)
+    return psprimes.ps_prime_array(c, lo, hi)
+
+
+@pytest.mark.parametrize("source, code", [
+    ("bad line", 2), (_fail_past_the_first_block, 3), (_crash_past_the_first_block, 4),
+], ids=["bad-line", "check-failed", "worker-crash"])
+def test_census_failure_in_a_later_block_with_a_pool(tmp_path, capsys, monkeypatch, source, code):
+    # fork-started workers inherit the patched ps_prime_array
+    if source == "bad line":
+        path = tmp_path / "primes.txt"
+        census.write_prime_file(str(path), [*psprimes.primes_up_to(10**4).tolist(), 10**4 + 1])
+        window = ["--prime-file", str(path)]
+    else:
+        monkeypatch.setattr(census, "ps_prime_array", source)
+        window = ["--range", "1e4,2e4"]
+    report = tmp_path / "report.json"
+    argv = ["census", "2,3", *window, "--block-size", "64", "--threads", "2", "--out", str(report)]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert "output_sha256" not in err and "Traceback" not in err
+    assert not report.exists() and not (tmp_path / "report.json.manifest.json").exists()
+    assert multiprocessing.active_children() == []
+    if source == "bad line":
+        assert f"{path}:1230: 10001 is not prime" in err
+
+
+def test_psprimes_failure_mid_stream(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("psqr.cli.ps_prime_array", _fail_past_the_first_block)
+    argv = ["psprimes", "--c", "1", "--range", "0,2e5"]
+    code, out, err = run_cli(capsys, *argv)
+    # stdout has the blocks certified before the failure, and no manifest follows
+    assert code == 3 and err.startswith("check failed: ")
+    assert out.startswith("# psqr psprimes c=1 range=(0,200000]\n2\n3\n")
+    assert "output_sha256" not in err
+    # --out appears complete or not at all
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "ps.txt"))
+    assert (code, out) == (3, "") and "output_sha256" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])
@@ -348,6 +436,18 @@ def test_threads_env_default(capsys, monkeypatch):
 
     args = build_parser().parse_args(["census", "2", "--x", "1000"])
     assert args.threads == 2
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0"])
+def test_threads_env_bad_value_exit_2_from_census_only(capsys, monkeypatch, value):
+    monkeypatch.setenv("PSQR_THREADS", value)
+    assert run_cli(capsys, "family", "2,3")[0] == 0
+    try:
+        code = main(["census", "2,3", "--x", "1000"])
+    except SystemExit as exc:  # argparse's own exit
+        code = exc.code
+    assert code == 2
+    assert "threads" in capsys.readouterr().err
 
 
 # documented exit codes: usage errors 2, failed checks 3, resource limits 4

@@ -14,6 +14,7 @@ from psqr import psprimes
 from psqr.errors import CheckFailed, NotPrime, Overflow, PreconditionViolated
 from psqr.psprimes import (
     _SIEVE_VALUE_CAP,
+    BLOCK_SIZE,
     PRIME_BUDGET,
     PsPrimeRange,
     RationalExponent,
@@ -22,7 +23,6 @@ from psqr.psprimes import (
     is_prime,
     is_ps_prime,
     prime_flags,
-    primes_in_range,
     primes_up_to,
     ps_primes_in,
 )
@@ -198,13 +198,18 @@ def test_is_prime_matches_twelve_bases_near_each_limit(limit, delta):
 
 
 def test_primes_in_range_segmented():
-    assert list(primes_in_range(10, 30)) == [11, 13, 17, 19, 23, 29]
-    assert list(primes_in_range(0, 3)) == [2, 3]
+    # plain primes in a range are the c = 1 stream, in the window's blocks
+    def primes_in_range(lo, hi, block_size=BLOCK_SIZE):
+        return [p for _, p in ps_primes_in(PsPrimeRange(RationalExponent(1, 1), lo, hi), block_size)]
+
+    assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
+    assert primes_in_range(0, 3) == [2, 3]
     primes = primes_up_to(30).astype(np.uint64)
     assert primes.dtype == np.uint64 and primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     want = [int(p) for p in primes_up_to(10**5) if p > 10**4]
-    got = list(primes_in_range(10**4, 10**5, chunk=3000))
-    assert got == want
+    assert primes_in_range(10**4, 10**5, block_size=3000) == want
+    blocks = list(PsPrimeRange(RationalExponent(1, 1), 10**4, 10**5).blocks(3000))
+    assert [b[1:] for b in blocks] == [(lo, min(lo + 3000, 10**5)) for lo in range(10**4, 10**5, 3000)]
 
 
 def test_ps_stream_examples():
@@ -261,7 +266,7 @@ def test_is_ps_prime_consistent_with_stream(ctext):
     limit = 10**5
     hi = integer_nth_root(limit**c.den, c.num) + 2
     hits = {p for _, p in ps_primes_in(PsPrimeRange(c, 1, hi)) if p <= limit}
-    for p in primes_in_range(1, limit):
+    for p in primes_up_to(limit).tolist():
         assert is_ps_prime(p, c) == (p in hits), (p, ctext)
 
 
