@@ -263,12 +263,15 @@ def run_census(config: CensusConfig) -> CensusReport:
         raise Overflow(f"threads are capped at {MAX_THREADS}, got {config.threads}")
 
     prediction = parity_analysis(config.elements)
+    threads = config.threads
     if config.prime_file is not None:
         if (config.x, config.lo, config.hi) != (None, None, None):
             raise PreconditionViolated("a census reads a prime_file or a window, not both")
         blocks = prime_file_blocks(config.prime_file, config.block_size)
     else:
-        blocks = config.window().blocks(config.block_size)
+        window = config.window()
+        blocks = window.blocks(config.block_size)
+        threads = min(threads, -(-(window.hi - window.lo) // config.block_size))  # <= blocks
     if config.x is not None:
         # the window is validated first, so x < 2**64 bounds the power below;
         # dyadic windows must dominate prod(S)**gamma for the side condition to vanish
@@ -280,7 +283,7 @@ def run_census(config: CensusConfig) -> CensusReport:
 
     basis = _basis(prediction.family)
     tasks = ((basis, block) for block in blocks)
-    partials = _run_blocks(_census_block, tasks, config.threads)
+    partials = _run_blocks(_census_block, tasks, threads)
     total = 0
     skipped = 0
     mask_counts: dict[int, int] = {}

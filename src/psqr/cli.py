@@ -2,7 +2,7 @@
 
 Every command streams its report to stdout, or to --out, which appears only
 once complete, then emits a run manifest (command, parameters, version, wall
-time, output checksum) on stderr; with --out the manifest is also written
+time, output checksum, environment) on stderr; with --out the manifest is also written
 next to the report. A command that fails emits no manifest.
 
 Exit codes: 0 success, 2 usage or parse error, 3 failed numerical check,
@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
+import platform
 import re
 import sys
 import time
@@ -25,6 +27,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__
 from .census import CensusConfig, run_census
 from .errors import CheckFailed, Overflow, ResourceLimit, UsageError
@@ -32,6 +36,7 @@ from .expsums import (
     bilinear_check,
     cancellation_scan,
     majorant_check,
+    usable_cpus,
     vaughan,
     von_mangoldt,
 )
@@ -98,6 +103,9 @@ def _emit(command: str, params: dict, chunks: Iterable[str], out: str | None, t0
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "output_sha256": digest.hexdigest(),
+        # what bench numbers depend on; cpus is the psi* sweep's thread count
+        "env": {"python": platform.python_version(), "numpy": np.__version__, "cpus": usable_cpus(),
+                "numba_importable": importlib.util.find_spec("numba") is not None},
     }
     if out:
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:

@@ -8,11 +8,13 @@ decay constants: |a(j)| <= 1/(2 pi |j|) and b(j) <= 1/(2J+2).
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +31,17 @@ MAX_SIEVE = 1 << 23        # sieve length: 2 max(N) for a scan, M for bilinear
 MAX_TRUNCATION = 1 << 16   # J of an expansion
 MAX_GRID = 1 << 22         # points of a majorant grid
 MAX_GRID_TERMS = 1 << 30   # grid points times J: the sines a majorant check evaluates
+
+# values per array slice: one psi* thread task (numpy's sin releases the GIL),
+# or one slice of a sieve's logs
+CHUNK = 1 << 13
+MAX_PSI_STAR_THREADS = 32
+PAIR_SLICE = 1 << 15  # (m, n) pairs of a bilinear sum formed at once
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the psi* sweep's thread count, before its caps."""
+    return len(os.sched_getaffinity(0))
 
 
 def psi(x: float) -> float:
@@ -58,15 +71,35 @@ class TruncatedExpansion:
 
         Arguments are reduced mod 1 and reflected into [0, 1/2] (the series is
         odd around integers), keeping every sine argument well conditioned.
+        Chunks of CHUNK arguments are swept on up to usable_cpus()
+        threads, joined before return; each value is the same for any count.
         """
-        u = np.mod(np.asarray(x, dtype=np.float64), 1.0)
-        flip = u > 0.5
-        w = np.where(flip, 1.0 - u, u)
+        x = np.asarray(x, dtype=np.float64)
+        w = np.mod(x.reshape(-1), 1.0)
+        flip = w > 0.5
+        np.subtract(1.0, w, out=w, where=flip)
         acc = np.zeros_like(w)
-        for j in range(1, self.J + 1):
-            acc -= self._w[j - 1] * np.sin(TWO_PI * j * w)
-        acc = np.where(flip, -acc, acc)
+        term = np.empty_like(w)  # allocated here, so the threads allocate nothing
+        chunks = [slice(k, k + CHUNK) for k in range(0, w.size, CHUNK)]
+        sweeps = [(w[c], acc[c], term[c]) for c in chunks]
+        threads = min(usable_cpus(), MAX_PSI_STAR_THREADS, len(chunks))
+        if threads > 1:
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(self._sweep, *zip(*sweeps)))  # re-raises a chunk's exception
+        else:
+            for sweep in sweeps:
+                self._sweep(*sweep)
+        np.negative(acc, out=acc, where=flip)
+        acc = acc.reshape(x.shape)
         return acc if acc.ndim else float(acc)
+
+    def _sweep(self, w: np.ndarray, acc: np.ndarray, term: np.ndarray) -> None:
+        """acc -= W_j/(pi j) sin(2 pi j w) for j = 1..J, in place, term by term."""
+        for j in range(1, self.J + 1):
+            np.multiply(TWO_PI * j, w, out=term)
+            np.sin(term, out=term)
+            np.multiply(self._w[j - 1], term, out=term)
+            np.subtract(acc, term, out=acc)
 
     def delta(self, x):
         """Fejer majorant F_J(x)/(2J+2); nonnegative, 1/2 at integers.
@@ -82,14 +115,6 @@ class TruncatedExpansion:
             vals = num / (2.0 * jp * jp * s * s)
         out = np.where(s == 0.0, 0.5, vals)
         return out if out.ndim else float(out)
-
-    def delta_from_coeffs(self, x):
-        """delta evaluated term by term from b(j); cross-check of the closed form."""
-        u = np.mod(np.asarray(x, dtype=np.float64), 1.0)
-        acc = np.full_like(u, self.b_coeffs[0])
-        for j in range(1, self.J + 1):
-            acc += 2.0 * self.b_coeffs[j] * np.cos(TWO_PI * j * u)
-        return acc if acc.ndim else float(acc)
 
 
 def build_expansion(J: int) -> TruncatedExpansion:
@@ -149,12 +174,15 @@ def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> di
 def von_mangoldt_sieve(limit: int) -> np.ndarray:
     """Lambda(0..limit) as an array; treat as read-only."""
     lam = np.zeros(limit + 1)
-    for p in primes_up_to(limit):
-        p = int(p)
-        lp = math.log(p)
-        pk = p
+    primes = primes_up_to(limit)
+    # in slices, as an array of every log would stay resident once freed
+    for ps in np.split(primes, range(CHUNK, primes.size, CHUNK)):
+        lam[ps] = np.fromiter(map(math.log, ps), np.float64, ps.size)
+    # only primes up to isqrt(limit) have higher powers in range
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        pk = p * p
         while pk <= limit:
-            lam[pk] = lp
+            lam[pk] = lam[p]
             pk *= p
     return lam
 
@@ -164,11 +192,14 @@ def mobius_sieve(limit: int) -> np.ndarray:
     """mu(0..limit) as an int8 array; treat as read-only."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_up_to(limit):
-        p = int(p)
+    # small[n]: the product of the distinct primes <= isqrt(limit) dividing n; an
+    # n whose product falls short of it has exactly one prime factor above that
+    small = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in primes_up_to(math.isqrt(limit)).tolist():
         mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
+        small[p::p] *= p
+        mu[p * p :: p * p] = 0
+    mu[small < np.arange(limit + 1, dtype=small.dtype)] *= -1
     return mu
 
 
@@ -313,94 +344,80 @@ def bilinear_check(
     lam = von_mangoldt_sieve(M)
     mu = mobius_sieve(M)
     # chi[n >> 1] = (s/n) for odd n <= M: every symbol the sums below take
-    chi = jacobi_column(s, np.arange(1, M + 1, 2, dtype=np.uint64)).tolist()
+    odd = np.arange(1, M + 1, 2)
+    chi = jacobi_column(s, odd).astype(np.float64)
+    live = odd[chi != 0]
 
-    def phase(t: int) -> complex:
-        return cmath.exp(TWO_PI * 1j * j * float(t) ** gamma)
+    # every t = m n below is odd in (N, M]; e(j t^gamma) = cos y + i sin y with
+    # y = (2 pi j) t^gamma, t^gamma by Python's pow, as cmath.exp forms it
+    t0 = (N + 1) | 1
+    ts = range(t0, M + 1, 2)
+    y = (TWO_PI * j) * np.fromiter(map(float(gamma).__rpow__, ts), np.float64, len(ts))
+    cos_t, sin_t = np.cos(y), np.sin(y)
 
-    def fold(parts: list[complex]) -> complex:
-        return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+    def bilinear(ms: np.ndarray, weight: np.ndarray, lo: np.ndarray, cand: np.ndarray,
+                 coeff) -> list:
+        """(real, imag) arrays of x e(j (mn)^gamma), x = coeff(weight(m) (s/m), n), over
+        the odd m of ms with nonzero weight and symbol and the n of cand in [lo, M // m].
+        Each rounds as the product of x + 0i and cos + i sin does, signed zeros too."""
+        keep = (weight != 0) & (chi[ms >> 1] != 0)
+        ms, weight, lo = ms[keep], weight[keep] * chi[ms[keep] >> 1], lo[keep]
+        parts = []
+        for rows, n in _pairs(lo, M // ms, cand):
+            x, k = coeff(weight[rows], n), (ms[rows] * n - t0) >> 1
+            parts.append((x * cos_t[k] - 0.0 * sin_t[k], x * sin_t[k] + 0.0 * cos_t[k]))
+        return parts
 
-    lhs_parts = []
-    for n in range((N + 1) | 1, M + 1, 2):
-        w = lam[n]
-        if w:
-            lhs_parts.append(w * chi[n >> 1] * phase(n))
-    lhs = fold(lhs_parts)
+    def fold(parts: list) -> complex:
+        return complex(*(math.fsum(itertools.chain.from_iterable(p[i].tolist() for p in parts))
+                         for i in (0, 1)))
 
-    # a(m) = sum of mu(d) over d | m, d <= u
-    a_arr = np.zeros(M + 1, dtype=np.int64)
-    for d in range(1, min(int(u), M) + 1):
-        md = int(mu[d])
-        if md:
-            a_arr[d::d] += md
+    # the sum itself is the m = 1 row
+    one = np.ones(1, dtype=np.int64)
+    lhs = fold(bilinear(one, one, one * (N + 1), odd[lam[odd] != 0],
+                        lambda w, n: w * lam[n] * chi[n >> 1]))
 
-    # b(m) = sum of Lambda(d) mu(e) over de = m, d <= v, e <= u
+    # a(m) = sum of mu(d) over d | m, d <= u, for the m of the type II sum
+    n_min_1 = int(math.floor(v)) + 1  # smallest admissible n in the type-II sum
+    m_hi = M // n_min_1
+    a_arr = np.zeros(m_hi + 1, dtype=np.int64)
+    for d in range(1, min(int(u), m_hi) + 1):
+        a_arr[d::d] += mu[d]
+
+    # b(m) = sum of Lambda(d) mu(e) over de = m, d <= v, e <= u, added in order of d
     cap = min(int(u * v), M)
     b_arr = np.zeros(cap + 1)
     for d in range(1, int(v) + 1):
-        ld = lam[d] if d <= M else 0.0
-        if ld:
-            for e in range(1, int(u) + 1):
-                if d * e > cap:
-                    break
-                me = int(mu[e])
-                if me:
-                    b_arr[d * e] += ld * me
-
-    rhs_parts = []
-    n_min_1 = int(math.floor(v)) + 1  # smallest admissible n in the type-II sum
-
-    def first_odd(k: int) -> int:
-        return k if k & 1 else k + 1
+        e_hi = min(int(u), cap // d)
+        b_arr[d : d * e_hi + 1 : d] += lam[d] * mu[1 : e_hi + 1]
 
     # type II: -a(m) Lambda(n) over m > u, n > v
-    m_hi = M // n_min_1
-    for m in range(first_odd(int(math.floor(u)) + 1), m_hi + 1, 2):
-        am = int(a_arr[m])
-        if am == 0:
-            continue
-        cm = chi[m >> 1]
-        if cm == 0:
-            continue
-        base = -am * cm
-        for n in range(first_odd(max(n_min_1, N // m + 1)), M // m + 1, 2):
-            w = lam[n]
-            if w:
-                cn = chi[n >> 1]
-                if cn:
-                    rhs_parts.append(base * w * cn * phase(m * n))
+    ms = np.arange(int(math.floor(u)) + 1 | 1, m_hi + 1, 2)
+    rhs = bilinear(ms, -a_arr[ms], np.maximum(n_min_1, N // ms + 1), live[lam[live] != 0],
+                   lambda w, n: w * lam[n] * chi[n >> 1])
 
     # type I: mu(m) log n over m <= u
-    for m in range(1, int(u) + 1, 2):
-        mm = int(mu[m])
-        if mm == 0:
-            continue
-        cm = chi[m >> 1]
-        if cm == 0:
-            continue
-        base = mm * cm
-        for n in range(first_odd(N // m + 1), M // m + 1, 2):
-            if n > 1:
-                cn = chi[n >> 1]
-                if cn:
-                    rhs_parts.append(base * cn * math.log(n) * phase(m * n))
+    ms = np.arange(1, int(u) + 1, 2)
+    rhs += bilinear(ms, mu[ms], np.maximum(2, N // ms + 1), live,
+                    lambda w, n: w * chi[n >> 1] * list(map(math.log, n.tolist())))
 
     # type I: -b(m) over m <= uv
-    for m in range(1, cap + 1, 2):
-        bm = float(b_arr[m])
-        if bm == 0.0:
-            continue
-        cm = chi[m >> 1]
-        if cm == 0:
-            continue
-        base = -bm * cm
-        for n in range(first_odd(N // m + 1), M // m + 1, 2):
-            cn = chi[n >> 1]
-            if cn:
-                rhs_parts.append(base * cn * phase(m * n))
+    ms = np.arange(1, cap + 1, 2)
+    rhs += bilinear(ms, -b_arr[ms], N // ms + 1, live, lambda w, n: w * chi[n >> 1])
 
-    return lhs, fold(rhs_parts)
+    return lhs, fold(rhs)
+
+
+def _pairs(lo: np.ndarray, hi: np.ndarray, cand: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(rows, ns) in slices of PAIR_SLICE pairs: row i paired with each n of
+    the ascending array cand in [lo[i], hi[i]]."""
+    start = np.searchsorted(cand, lo)
+    count = np.maximum(np.searchsorted(cand, hi, side="right") - start, 0)
+    end = np.cumsum(count)  # pair k of row i is pair end[i] - count[i] + k of all
+    for g0 in range(0, int(count.sum()), PAIR_SLICE):
+        g = np.arange(g0, min(g0 + PAIR_SLICE, end[-1]))
+        rows = np.searchsorted(end, g, side="right")
+        yield rows, cand[g + (start - end + count)[rows]]
 
 
 # -- scan reports ------------------------------------------------------------------

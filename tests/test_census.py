@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from unittest import mock
 
@@ -85,6 +86,31 @@ def test_census_thread_invariance():
         run_census(dataclasses.replace(base, threads=t)).to_json() for t in (1, 4, 8)
     ]
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    base = CensusConfig(elements=(2, 3), lo=0, hi=1000, block_size=1000, threads=8)
+    want = {}
+    for hi, workers in ((1000, []), (1001, [2]), (3000, [3]), (20_000, [8])):
+        config = dataclasses.replace(base, hi=hi)
+        want[hi] = run_census(dataclasses.replace(config, threads=1)).to_json()
+        started.clear()
+        assert run_census(config).to_json() == want[hi]
+        assert started == workers, hi
+    # a prime file's block count is unknown until it is read: the pool keeps threads
+    path = str(tmp_path / "primes.txt")
+    write_prime_file(path, primes_up_to(1000).tolist())
+    started.clear()
+    report = run_census(dataclasses.replace(base, lo=None, hi=None, prime_file=path))
+    assert report.to_json() == want[1000] and started == [8]
 
 
 def test_census_block_size_invariance():

@@ -5,14 +5,16 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 import psqr
-from psqr import census, kernels, predict, psprimes
+from psqr import census, expsums, kernels, predict, psprimes
 from psqr.cli import _parse_count, main
 from psqr.errors import CheckFailed, PsqrError
 
@@ -428,6 +430,33 @@ def test_manifest_checksum_stability(capsys):
     sha1 = json.loads(err1.strip().splitlines()[-1])["output_sha256"]
     sha2 = json.loads(err2.strip().splitlines()[-1])["output_sha256"]
     assert sha1 == sha2
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (("family", "2,3"), "c2c1f6a3807132afaed3d1cf98b8db8e01ab7ac1657195b1522eaf172bb68ebd"),
+    (("expsum", "bilinear", "--N", "2000", "--M", "4000", "--u", "5", "--v", "7", "--j", "2",
+      "--gamma", "205/243", "--s", "15"),
+     "ea8b024048932368d14491fbd72b881c19e2d508237b7639c441335c605202be"),
+    (("expsum", "scan", "--gamma", "205/243", "--s", "3", "--n-list", "4096,8192,16384", "--json"),
+     "346ec43cb50eff4852ed3f8bf1dc61df68042eb3d5e54c73052241c863e75f21"),
+    (("expsum", "psistar", "--J", "40", "--grid", "20000"),
+     "0eca01d15cd71663106b31d08168ff4200227f8704846bfd1a7ee64d043d8fb3"),
+], ids=["family", "bilinear", "scan", "psistar"])
+def test_manifest_env_leaves_the_report_alone(capsys, tmp_path, argv, sha256):
+    # the checksums are those of the reports before the manifest gained env
+    code, out, err = run_cli(capsys, *argv)
+    manifest = json.loads(err.strip().splitlines()[-1])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert manifest["output_sha256"] == sha256 and "env" not in out
+    env = manifest["env"]
+    assert set(env) == {"python", "numpy", "numba_importable", "cpus"}
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["cpus"] == expsums.usable_cpus() >= 1 and isinstance(env["numba_importable"], bool)
+    out_path = tmp_path / "report.txt"
+    run_cli(capsys, *argv, "--out", str(out_path))
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
+    written = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    assert written["env"] == env and written["output_sha256"] == sha256
 
 
 def test_threads_env_default(capsys, monkeypatch):

@@ -1,10 +1,15 @@
 """Sawtooth expansion, Vaughan identity, and the cancellation sums."""
 
+import cmath
 import math
 import random
+import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from psqr import expsums
 from psqr.errors import Overflow, PreconditionViolated
@@ -24,6 +29,10 @@ from psqr.expsums import (
     von_mangoldt,
     von_mangoldt_sieve,
 )
+from psqr.psprimes import primes_up_to
+from psqr.residues import jacobi_column
+
+CHUNK = expsums.CHUNK
 
 
 def test_psi_examples():
@@ -34,12 +43,112 @@ def test_psi_examples():
 
 
 def test_arithmetic_functions_match_sieves():
-    lam = von_mangoldt_sieve(500)
-    mu = mobius_sieve(500)
-    for n in range(1, 501):
-        assert von_mangoldt(n) == pytest.approx(float(lam[n]))
+    lam = von_mangoldt_sieve(2000)
+    mu = mobius_sieve(2000)
+    for n in range(1, 2001):
+        assert von_mangoldt(n) == float(lam[n])
         assert mobius(n) == int(mu[n])
     assert divisors(72) == [1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72]
+
+
+def _von_mangoldt_loop(limit):
+    """Lambda(0..limit), one prime at a time over every prime power."""
+    lam = np.zeros(limit + 1)
+    for p in primes_up_to(limit).tolist():
+        pk = p
+        while pk <= limit:
+            lam[pk] = math.log(p)
+            pk *= p
+    return lam
+
+
+def _mobius_loop(limit):
+    """mu(0..limit), one slice per prime up to limit."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_up_to(limit).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(0, 300), st.integers(300, 1 << 17)))
+@example(0)
+@example(1)
+@example(4)
+@example(1 << 16)
+def test_sieves_match_loops_at_any_limit(limit):
+    lam, mu = von_mangoldt_sieve(limit), mobius_sieve(limit)
+    assert lam.dtype == np.float64 and mu.dtype == np.int8
+    assert np.array_equal(lam.view(np.uint64), _von_mangoldt_loop(limit).view(np.uint64))
+    assert np.array_equal(mu, _mobius_loop(limit))
+    for n in random.Random(limit).sample(range(1, limit + 1), min(limit, 50)):
+        assert (von_mangoldt(n), mobius(n)) == (float(lam[n]), int(mu[n]))
+
+
+def _psi_star_sweep(exp, x):
+    """psi* as one whole-array sweep: the bits every thread count must give."""
+    u = np.mod(np.asarray(x, dtype=np.float64), 1.0)
+    flip = u > 0.5
+    w = np.where(flip, 1.0 - u, u)
+    acc = np.zeros_like(w)
+    for j in range(1, exp.J + 1):
+        acc -= exp._w[j - 1] * np.sin(expsums.TWO_PI * j * w)
+    acc = np.where(flip, -acc, acc)
+    return acc if acc.ndim else float(acc)
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_psi_star_bits_for_any_thread_count(monkeypatch, size):
+    exp = build_expansion(37)
+    xs = np.random.default_rng(size).uniform(-3e5, 3e5, size)
+    xs[: min(size, 6)] = [0.0, 0.5, -0.5, 1.0, 2.5, -1e-12][: min(size, 6)]
+    want = _psi_star_sweep(exp, xs).view(np.uint64)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
+        got = exp.psi_star(xs)
+        assert got.shape == xs.shape and np.array_equal(got.view(np.uint64), want), threads
+
+
+def test_psi_star_scalar_and_shaped_inputs(monkeypatch):
+    exp = build_expansion(37)
+    grid = np.linspace(-2.0, 2.0, 2 * CHUNK + 2).reshape(2, -1)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
+        for x in (0.3, -2.75, 0.5, np.float64(7.1), np.array(1.25)):
+            got = exp.psi_star(x)
+            assert type(got) is float
+            assert struct.pack("d", got) == struct.pack("d", _psi_star_sweep(exp, x))
+        assert np.array_equal(exp.psi_star(grid).view(np.uint64),
+                              _psi_star_sweep(exp, grid).view(np.uint64))
+
+
+def test_majorant_check_same_for_any_thread_count(monkeypatch):
+    results = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
+        results.append(repr(majorant_check(40, grid_points=3 * CHUNK)))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("failing_chunk", [0, 1, 3])
+def test_psi_star_chunk_failure_propagates_and_joins(monkeypatch, failing_chunk):
+    exp = build_expansion(5)
+    xs = np.arange(3 * CHUNK + 5) * 1e-7  # in [0, 1/2): each chunk sweeps its own xs
+    sweep = expsums.TruncatedExpansion._sweep
+
+    def failing(self, w, acc, term):
+        if w[0] == xs[failing_chunk * CHUNK]:
+            raise RuntimeError("chunk failed")
+        sweep(self, w, acc, term)
+
+    monkeypatch.setattr(expsums.TruncatedExpansion, "_sweep", failing)
+    monkeypatch.setattr(expsums, "usable_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        exp.psi_star(xs)
+    assert threading.active_count() == before
 
 
 def test_expansion_coefficient_bounds():
@@ -52,11 +161,20 @@ def test_expansion_coefficient_bounds():
             assert 0.0 <= bj * (J + 1) <= exp.B_DECAY + 1e-15
 
 
+def _delta_from_coeffs(exp, xs):
+    """delta evaluated term by term from b(j); cross-check of the closed form."""
+    u = np.mod(xs, 1.0)
+    acc = np.full_like(u, exp.b_coeffs[0])
+    for j in range(1, exp.J + 1):
+        acc += 2.0 * exp.b_coeffs[j] * np.cos(expsums.TWO_PI * j * u)
+    return acc
+
+
 def test_expansion_delta_closed_form_matches_coeff_sum():
     exp = build_expansion(60)
     xs = np.linspace(-1.3, 2.7, 4001)
     closed = exp.delta(xs)
-    direct = exp.delta_from_coeffs(xs)
+    direct = _delta_from_coeffs(exp, xs)
     assert np.max(np.abs(closed - direct)) < 1e-12
 
 
@@ -182,6 +300,97 @@ def test_bilinear_examples():
 
     lhs1, rhs1 = bilinear_check(100, 200, 5, 5, 2, 10 / 11, 1)
     assert abs(lhs1 - rhs1) < 1e-6 * abs(lhs1) + 1e-9
+
+
+def _bilinear_loop(N, M, u, v, j, gamma, s):
+    """bilinear_check one term at a time: a cmath.exp phase per term, Python
+    loops over every m and n. The reference for the array sums."""
+    lam = von_mangoldt_sieve(M)
+    mu = mobius_sieve(M)
+    chi = jacobi_column(s, np.arange(1, M + 1, 2, dtype=np.uint64)).tolist()
+
+    def phase(t):
+        return cmath.exp(expsums.TWO_PI * 1j * j * float(t) ** gamma)
+
+    def fold(parts):
+        return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+
+    def first_odd(k):
+        return k if k & 1 else k + 1
+
+    lhs = fold([lam[n] * chi[n >> 1] * phase(n) for n in range((N + 1) | 1, M + 1, 2) if lam[n]])
+
+    a_arr = np.zeros(M + 1, dtype=np.int64)
+    for d in range(1, min(int(u), M) + 1):
+        if mu[d]:
+            a_arr[d::d] += int(mu[d])
+    cap = min(int(u * v), M)
+    b_arr = np.zeros(cap + 1)
+    for d in range(1, int(v) + 1):
+        for e in range(1, int(u) + 1):
+            if d * e > cap:
+                break
+            if lam[d] and mu[e]:
+                b_arr[d * e] += lam[d] * int(mu[e])
+
+    parts = []
+    n_min_1 = int(math.floor(v)) + 1
+    for m in range(first_odd(int(math.floor(u)) + 1), M // n_min_1 + 1, 2):
+        am, cm = int(a_arr[m]), chi[m >> 1]
+        if am and cm:
+            for n in range(first_odd(max(n_min_1, N // m + 1)), M // m + 1, 2):
+                if lam[n] and chi[n >> 1]:
+                    parts.append(-am * cm * lam[n] * chi[n >> 1] * phase(m * n))
+    for m in range(1, int(u) + 1, 2):
+        mm, cm = int(mu[m]), chi[m >> 1]
+        if mm and cm:
+            for n in range(first_odd(N // m + 1), M // m + 1, 2):
+                if n > 1 and chi[n >> 1]:
+                    parts.append(mm * cm * chi[n >> 1] * math.log(n) * phase(m * n))
+    for m in range(1, cap + 1, 2):
+        bm, cm = float(b_arr[m]), chi[m >> 1]
+        if bm and cm:
+            for n in range(first_odd(N // m + 1), M // m + 1, 2):
+                if chi[n >> 1]:
+                    parts.append(-bm * cm * chi[n >> 1] * phase(m * n))
+    return lhs, fold(parts)
+
+
+def _bits(pair):
+    return struct.pack("4d", pair[0].real, pair[0].imag, pair[1].real, pair[1].imag)
+
+
+def _just_below(M, v):
+    """The largest float u with u v < M."""
+    u = M / v
+    while u * v >= M:
+        u = math.nextafter(u, 0)
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_bilinear_matches_loop_reference(data):
+    if data is None:  # u v just below M, j = 0 and s = 1 together
+        args = (100, 200, _just_below(200, 7.0), 7.0, 0, 10 / 11, 1)
+    else:
+        N = data.draw(st.integers(1, 600), label="N")
+        M = data.draw(st.integers(N + 1, 2 * N + 60), label="M")
+        v = data.draw(st.floats(1.0, min(30.0, N)), label="v")
+        u = data.draw(st.one_of(st.floats(1.0, 30.0), st.just(_just_below(M, v))), label="u")
+        assume(1 <= u and u * v < M)
+        args = (N, M, u, v, data.draw(st.integers(-2, 12), label="j"),
+                data.draw(st.floats(0.51, 1.0), label="gamma"),
+                data.draw(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 105]), label="s"))
+    got, want = bilinear_check(*args), _bilinear_loop(*args)
+    assert got == want and _bits(got) == _bits(want), args
+
+
+def test_bilinear_matches_loop_reference_at_bench_size():
+    args = (20_000, 40_000, 30.0, 30.0, 2, 205 / 243, 15)
+    got, want = bilinear_check(*args), _bilinear_loop(*args)
+    assert got == want and _bits(got) == _bits(want)
 
 
 def _jacobi3(n):
