@@ -271,7 +271,8 @@ def run_census(config: CensusConfig) -> CensusReport:
     else:
         window = config.window()
         blocks = window.blocks(config.block_size)
-        threads = min(threads, -(-(window.hi - window.lo) // config.block_size))  # <= blocks
+        # a worker per block at most: a one-block window runs in this process
+        threads = min(threads, -(-(window.hi - window.lo) // config.block_size))
     if config.x is not None:
         # the window is validated first, so x < 2**64 bounds the power below;
         # dyadic windows must dominate prod(S)**gamma for the side condition to vanish

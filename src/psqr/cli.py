@@ -2,8 +2,8 @@
 
 Every command streams its report to stdout, or to --out, which appears only
 once complete, then emits a run manifest (command, parameters, version, wall
-time, output checksum, environment) on stderr; with --out the manifest is also written
-next to the report. A command that fails emits no manifest.
+time, output checksum, environment) on stderr; with --out the manifest is also
+written next to the report. A command that fails emits no manifest.
 
 Exit codes: 0 success, 2 usage or parse error, 3 failed numerical check,
 4 resource limit (an integer or value budget, a set too large, memory

@@ -116,6 +116,14 @@ class TruncatedExpansion:
         out = np.where(s == 0.0, 0.5, vals)
         return out if out.ndim else float(out)
 
+    def delta_from_coeffs(self, x):
+        """delta evaluated term by term from b(j); cross-check of the closed form."""
+        u = np.mod(np.asarray(x, dtype=np.float64), 1.0)
+        acc = np.full_like(u, self.b_coeffs[0])
+        for j in range(1, self.J + 1):
+            acc += 2.0 * self.b_coeffs[j] * np.cos(TWO_PI * j * u)
+        return acc if acc.ndim else float(acc)
+
 
 def build_expansion(J: int) -> TruncatedExpansion:
     """The pinned admissible coefficient family at truncation J."""
@@ -359,23 +367,24 @@ def bilinear_check(
                  coeff) -> list:
         """(real, imag) arrays of x e(j (mn)^gamma), x = coeff(weight(m) (s/m), n), over
         the odd m of ms with nonzero weight and symbol and the n of cand in [lo, M // m].
-        Each rounds as the product of x + 0i and cos + i sin does, signed zeros too."""
+        A nonzero part rounds as in the product of x + 0i and cos + i sin; fsum
+        skips zeros, so their signs do not matter."""
         keep = (weight != 0) & (chi[ms >> 1] != 0)
         ms, weight, lo = ms[keep], weight[keep] * chi[ms[keep] >> 1], lo[keep]
         parts = []
         for rows, n in _pairs(lo, M // ms, cand):
             x, k = coeff(weight[rows], n), (ms[rows] * n - t0) >> 1
-            parts.append((x * cos_t[k] - 0.0 * sin_t[k], x * sin_t[k] + 0.0 * cos_t[k]))
+            parts.append((x * cos_t[k], x * sin_t[k]))
         return parts
 
     def fold(parts: list) -> complex:
         return complex(*(math.fsum(itertools.chain.from_iterable(p[i].tolist() for p in parts))
                          for i in (0, 1)))
 
-    # the sum itself is the m = 1 row
+    # the sum itself is the m = 1 row over the odd prime powers with a nonzero symbol
+    powers = live[lam[live] != 0]
     one = np.ones(1, dtype=np.int64)
-    lhs = fold(bilinear(one, one, one * (N + 1), odd[lam[odd] != 0],
-                        lambda w, n: w * lam[n] * chi[n >> 1]))
+    lhs = fold(bilinear(one, one, one * (N + 1), powers, lambda w, n: w * lam[n] * chi[n >> 1]))
 
     # a(m) = sum of mu(d) over d | m, d <= u, for the m of the type II sum
     n_min_1 = int(math.floor(v)) + 1  # smallest admissible n in the type-II sum
@@ -392,8 +401,8 @@ def bilinear_check(
         b_arr[d : d * e_hi + 1 : d] += lam[d] * mu[1 : e_hi + 1]
 
     # type II: -a(m) Lambda(n) over m > u, n > v
-    ms = np.arange(int(math.floor(u)) + 1 | 1, m_hi + 1, 2)
-    rhs = bilinear(ms, -a_arr[ms], np.maximum(n_min_1, N // ms + 1), live[lam[live] != 0],
+    ms = np.arange((int(math.floor(u)) + 1) | 1, m_hi + 1, 2)
+    rhs = bilinear(ms, -a_arr[ms], np.maximum(n_min_1, N // ms + 1), powers,
                    lambda w, n: w * lam[n] * chi[n >> 1])
 
     # type I: mu(m) log n over m <= u

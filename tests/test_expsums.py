@@ -161,20 +161,11 @@ def test_expansion_coefficient_bounds():
             assert 0.0 <= bj * (J + 1) <= exp.B_DECAY + 1e-15
 
 
-def _delta_from_coeffs(exp, xs):
-    """delta evaluated term by term from b(j); cross-check of the closed form."""
-    u = np.mod(xs, 1.0)
-    acc = np.full_like(u, exp.b_coeffs[0])
-    for j in range(1, exp.J + 1):
-        acc += 2.0 * exp.b_coeffs[j] * np.cos(expsums.TWO_PI * j * u)
-    return acc
-
-
 def test_expansion_delta_closed_form_matches_coeff_sum():
     exp = build_expansion(60)
     xs = np.linspace(-1.3, 2.7, 4001)
     closed = exp.delta(xs)
-    direct = _delta_from_coeffs(exp, xs)
+    direct = exp.delta_from_coeffs(xs)
     assert np.max(np.abs(closed - direct)) < 1e-12
 
 
@@ -370,25 +361,27 @@ def _just_below(M, v):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-@example(data=None)
 def test_bilinear_matches_loop_reference(data):
-    if data is None:  # u v just below M, j = 0 and s = 1 together
-        args = (100, 200, _just_below(200, 7.0), 7.0, 0, 10 / 11, 1)
-    else:
-        N = data.draw(st.integers(1, 600), label="N")
-        M = data.draw(st.integers(N + 1, 2 * N + 60), label="M")
-        v = data.draw(st.floats(1.0, min(30.0, N)), label="v")
-        u = data.draw(st.one_of(st.floats(1.0, 30.0), st.just(_just_below(M, v))), label="u")
-        assume(1 <= u and u * v < M)
-        args = (N, M, u, v, data.draw(st.integers(-2, 12), label="j"),
-                data.draw(st.floats(0.51, 1.0), label="gamma"),
-                data.draw(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 105]), label="s"))
+    N = data.draw(st.integers(1, 1500), label="N")
+    M = data.draw(st.integers(N + 1, 2 * N + 60), label="M")
+    v = data.draw(st.floats(1.0, min(80.0, N)), label="v")
+    u = data.draw(st.one_of(st.floats(1.0, 80.0), st.just(_just_below(M, v))), label="u")
+    assume(1 <= u and u * v < M)
+    args = (N, M, u, v, data.draw(st.integers(-2, 12), label="j"),
+            data.draw(st.floats(0.51, 1.0), label="gamma"),
+            data.draw(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 105]), label="s"))
     got, want = bilinear_check(*args), _bilinear_loop(*args)
     assert got == want and _bits(got) == _bits(want), args
 
 
-def test_bilinear_matches_loop_reference_at_bench_size():
-    args = (20_000, 40_000, 30.0, 30.0, 2, 205 / 243, 15)
+@pytest.mark.parametrize("args", [
+    (100, 200, _just_below(200, 7.0), 7.0, 0, 10 / 11, 1),  # u v just below M, j = 0, s = 1
+    (4, 5, 1.0, 1.0, 0, 0.9, 2),  # one prime, (2/5) = -1: every imaginary part is -0.0
+    (2, 3, 1.0, 1.0, 3, 0.9, 3),  # one prime, (3/3) = 0: no term but zeros
+    (1281, 2240, 77.80704862972411, 20.628757364045583, 0, 0.6507101865073314, 3),  # b(m) of 3+ terms
+    (20_000, 40_000, 30.0, 30.0, 2, 205 / 243, 15),
+], ids=["tight-uv", "signed-zeros", "all-zero", "b-order", "bench-shape"])
+def test_bilinear_matches_loop_reference_edges(args):
     got, want = bilinear_check(*args), _bilinear_loop(*args)
     assert got == want and _bits(got) == _bits(want)
 
