@@ -376,9 +376,10 @@ def test_bilinear_matches_loop_reference(data):
 
 @pytest.mark.parametrize("args", [
     (100, 200, _just_below(200, 7.0), 7.0, 0, 10 / 11, 1),  # u v just below M, j = 0, s = 1
-    (4, 5, 1.0, 1.0, 0, 0.9, 2),  # one prime, (2/5) = -1: every imaginary part is -0.0
-    (2, 3, 1.0, 1.0, 3, 0.9, 3),  # one prime, (3/3) = 0: no term but zeros
-    (1281, 2240, 77.80704862972411, 20.628757364045583, 0, 0.6507101865073314, 3),  # b(m) of 3+ terms
+    (4, 5, 1.0, 1.0, 0, 0.9, 2),  # (2/5) = -1 at j = 0: imaginary parts are signed zeros
+    (2, 3, 1.0, 1.0, 3, 0.9, 3),  # (3/3) = 0: the loop sums zeros only
+    # b(m) of three or more terms, whose order of addition shows in the last bit
+    (1281, 2240, 77.80704862972411, 20.628757364045583, 0, 0.6507101865073314, 3),
     (20_000, 40_000, 30.0, 30.0, 2, 205 / 243, 15),
 ], ids=["tight-uv", "signed-zeros", "all-zero", "b-order", "bench-shape"])
 def test_bilinear_matches_loop_reference_edges(args):
