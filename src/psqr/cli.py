@@ -1,13 +1,18 @@
 """Command-line entry point: reproducible runs with machine-readable reports.
 
-Every command streams its report to stdout, or to --out, which appears only
-once complete, then emits a run manifest (command, parameters, version, wall
-time, output checksum, environment) on stderr; with --out the manifest is also
-written next to the report. A command that fails emits no manifest.
+Each command turns its parsed options into report chunks and a verdict;
+main alone times the run, emits it and picks the exit code. The report
+streams to stdout, or to --out, which appears only once complete; then a
+run manifest (command, params, version, wall time, output checksum,
+environment) goes to stderr, and with --out next to the report too. Its
+params are the options exactly as parsed, defaults included, less --out.
+A command that fails emits no manifest.
 
-Exit codes: 0 success, 2 usage or parse error, 3 failed numerical check,
-4 resource limit (an integer or value budget, a set too large, memory
-exhausted, or a census worker process that died).
+Exit codes: 0 success, 2 usage or parse error or an unusable path (any
+OSError, such as a missing --prime-file or --out directory), 3 failed
+numerical check, 4 resource limit (an integer or value budget, a value too
+large for a float, a set too large, memory exhausted, or a census worker
+process that died).
 """
 
 from __future__ import annotations
@@ -79,12 +84,23 @@ def _parse_gamma(text: str) -> float:
         return float(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{text!r} is not a fraction") from None
+    except OverflowError:
+        raise Overflow(f"gamma {text!r} is too large for a float") from None
 
 
-def _emit(command: str, params: dict, chunks: Iterable[str], out: str | None, t0: float) -> None:
+def _params(args) -> dict:
+    """The options as parsed, defaults included, less those that route the
+    run or place its report."""
+    routing = ("func", "command", "subcommand", "out")
+    return {k: v for k, v in vars(args).items() if k not in routing}
+
+
+def _emit(args, chunks: Iterable[str], t0: float) -> None:
     """Write the report, hashing and writing each chunk as it comes, then its
-    run manifest, the reproducibility record. With out, the chunks go to a
-    sibling temporary file that replaces out only once the last is written."""
+    run manifest, the reproducibility record, whose params are the options as
+    parsed. With --out, the chunks go to a sibling temporary file that
+    replaces it only once the last is written."""
+    out = args.out
     digest = hashlib.sha256()
     part = f"{out}.{os.getpid()}.part"
     try:
@@ -98,8 +114,8 @@ def _emit(command: str, params: dict, chunks: Iterable[str], out: str | None, t0
         if out and os.path.exists(part):
             os.remove(part)
     manifest = {
-        "command": command,
-        "params": params,
+        "command": ".".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
+        "params": _params(args),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "output_sha256": digest.hexdigest(),
@@ -117,18 +133,21 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# -- commands -------------------------------------------------------------------
-
-def cmd_family(args) -> int:
-    t0 = time.perf_counter()
-    elements = _parse_set(args.set)
-    fam = square_subset_family(elements)
-    _emit("family", {"set": list(elements)}, [_json(fam.to_json_dict())], args.out, t0)
-    return 0
+def _checked(doc: dict, passed: bool) -> tuple[list[str], bool]:
+    """A numerical check's report, with its verdict."""
+    doc["passed"] = passed
+    doc["verdict"] = "PASS" if passed else "FAIL"
+    return [_json(doc)], passed
 
 
-def cmd_predict(args) -> int:
-    t0 = time.perf_counter()
+# -- commands: each takes the parsed options and returns (report chunks, passed)
+
+def cmd_family(args):
+    fam = square_subset_family(_parse_set(args.set))
+    return [_json(fam.to_json_dict())], True
+
+
+def cmd_predict(args):
     elements = _parse_set(args.set)
     c = RationalExponent.parse(args.c)
     pred = parity_analysis(elements)
@@ -142,21 +161,16 @@ def cmd_predict(args) -> int:
         doc["x"] = x
         doc["qr_count_main_term"] = main
         doc["nqr_count_main_term"] = float(pred.nqr_density) * scale
-    params = {"set": list(elements), "c": str(c), "x": args.x}
-    _emit("predict", params, [_json(doc)], args.out, t0)
-    return 0
+    return [_json(doc)], True
 
 
-def cmd_census(args) -> int:
-    t0 = time.perf_counter()
+def cmd_census(args):
     elements = _parse_set(args.set)
     c = RationalExponent.parse(args.c)
     if args.source == "all" and c != RationalExponent(1, 1):
         raise ValueError(f"--source all is the c = 1 stream; it conflicts with --c {c}")
     x = _parse_count(args.x) if args.x is not None else None
-    lo = hi = None
-    if args.range is not None:
-        lo, hi = _parse_range(args.range)
+    lo, hi = _parse_range(args.range) if args.range is not None else (None, None)
     config = CensusConfig(
         elements=elements,
         exponent=c,
@@ -168,105 +182,49 @@ def cmd_census(args) -> int:
         threads=args.threads,
     )
     report = run_census(config)
-    payload = report.to_csv() if args.csv else report.to_json()
-    params = {
-        "set": list(elements),
-        "c": str(c),
-        "x": x,
-        "range": [lo, hi] if lo is not None else None,
-        "source": args.source,
-        "prime_file": args.prime_file,
-        "block_size": args.block_size,
-        "threads": args.threads,
-        "csv": bool(args.csv),
-    }
-    _emit("census", params, [payload], args.out, t0)
-    return 0
+    return [report.to_csv() if args.csv else report.to_json()], True
 
 
-def cmd_psprimes(args) -> int:
-    t0 = time.perf_counter()
+def cmd_psprimes(args):
     c = RationalExponent.parse(args.c)
     lo, hi = _parse_range(args.range)
     rng = PsPrimeRange(c, lo, hi)
     header = f"# psqr psprimes c={c} range=({lo},{hi}]\n"
     # each block's primes are written once certified, so memory holds one block
     primes = (ps_prime_array(*block)[1].tolist() for block in rng.blocks(BLOCK_SIZE))
-    chunks = itertools.chain([header], ("".join(f"{p}\n" for p in ps) for ps in primes))
-    params = {"c": str(c), "range": [lo, hi]}
-    _emit("psprimes", params, chunks, args.out, t0)
-    return 0
+    return itertools.chain([header], ("".join(f"{p}\n" for p in ps) for ps in primes)), True
 
 
-def cmd_expsum_vaughan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expsum_vaughan(args):
     value = vaughan(args.n, args.u, args.v)
     lam = von_mangoldt(args.n)
     err = abs(value - lam)
-    passed = err < 1e-9 * (1.0 + abs(lam))
-    doc = {
-        "n": args.n,
-        "u": args.u,
-        "v": args.v,
-        "value": value,
-        "von_mangoldt": lam,
-        "abs_error": err,
-        "passed": passed,
-        "verdict": "PASS" if passed else "FAIL",
-    }
-    params = {"n": args.n, "u": args.u, "v": args.v}
-    _emit("expsum.vaughan", params, [_json(doc)], args.out, t0)
-    return 0 if passed else 3
+    doc = dict(_params(args), value=value, von_mangoldt=lam, abs_error=err)
+    return _checked(doc, err < 1e-9 * (1.0 + abs(lam)))
 
 
-def cmd_expsum_psistar(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expsum_psistar(args):
     result = majorant_check(args.J, grid_points=args.grid)
-    result["verdict"] = "PASS" if result["passed"] else "FAIL"
-    params = {"J": args.J, "grid": args.grid}
-    _emit("expsum.psistar", params, [_json(result)], args.out, t0)
-    return 0 if result["passed"] else 3
+    return _checked(result, result["passed"])
 
 
-def cmd_expsum_scan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expsum_scan(args):
     gamma = _parse_gamma(args.gamma)
     if args.n_list:
         n_list = [_parse_count(tok) for tok in args.n_list.split(",")]
     else:
         n_list = [1 << k for k in range(12, 21)]
     report = cancellation_scan(gamma, args.s, n_list, J=args.J)
-    payload = _json(report.to_json_dict()) if args.json else report.to_csv()
-    params = {"gamma": args.gamma, "s": args.s, "n_list": n_list, "J": args.J}
-    _emit("expsum.scan", params, [payload], args.out, t0)
-    return 0
+    return [_json(report.to_json_dict()) if args.json else report.to_csv()], True
 
 
-def cmd_expsum_bilinear(args) -> int:
-    t0 = time.perf_counter()
+def cmd_expsum_bilinear(args):
     gamma = _parse_gamma(args.gamma)
     lhs, rhs = bilinear_check(args.N, args.M, args.u, args.v, args.j, gamma, args.s)
     err = abs(lhs - rhs)
-    passed = err <= 1e-6 * abs(lhs) + 1e-9
-    doc = {
-        "N": args.N,
-        "M": args.M,
-        "u": args.u,
-        "v": args.v,
-        "j": args.j,
-        "gamma": args.gamma,
-        "s": args.s,
-        "lhs_re": lhs.real,
-        "lhs_im": lhs.imag,
-        "rhs_re": rhs.real,
-        "rhs_im": rhs.imag,
-        "abs_error": err,
-        "passed": passed,
-        "verdict": "PASS" if passed else "FAIL",
-    }
-    params = {k: doc[k] for k in ("N", "M", "u", "v", "j", "gamma", "s")}
-    _emit("expsum.bilinear", params, [_json(doc)], args.out, t0)
-    return 0 if passed else 3
+    doc = dict(_params(args), lhs_re=lhs.real, lhs_im=lhs.imag,
+               rhs_re=rhs.real, rhs_im=rhs.imag, abs_error=err)
+    return _checked(doc, err <= 1e-6 * abs(lhs) + 1e-9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,17 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the only place a run is timed, emitted and given its
+    exit code."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        chunks, passed = args.func(args)
+        _emit(args, chunks, t0)
+        return 0 if passed else 3
     except (ResourceLimit, MemoryError, BrokenProcessPool) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

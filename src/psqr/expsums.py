@@ -243,6 +243,13 @@ def _require_squarefree(s: int) -> None:
         raise PreconditionViolated(f"s = {s} is not squarefree")
 
 
+def _require_cutoffs(u: float, v: float) -> None:
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise PreconditionViolated(f"u and v must be finite, got u = {u}, v = {v}")
+    if u < 1 or v < 1:
+        raise PreconditionViolated("u and v must be >= 1")
+
+
 # -- Vaughan's identity ----------------------------------------------------------
 
 def vaughan(n: int, u: float, v: float) -> float:
@@ -252,8 +259,7 @@ def vaughan(n: int, u: float, v: float) -> float:
     on the cofactor); that is the reading under which the three terms sum
     to Lambda(n) identically.
     """
-    if u < 1 or v < 1:
-        raise PreconditionViolated("u and v must be >= 1")
+    _require_cutoffs(u, v)
     if n <= v:
         raise PreconditionViolated(f"identity needs n > v, got n = {n}, v = {v}")
     divs = divisors(n)
@@ -340,8 +346,7 @@ def bilinear_check(
     _require_squarefree(s)
     if not N < M:
         raise PreconditionViolated("need N < M")
-    if u < 1 or v < 1:
-        raise PreconditionViolated("u and v must be >= 1")
+    _require_cutoffs(u, v)
     if u * v >= M:
         raise PreconditionViolated("need u*v < M")
     if v > N:
@@ -487,10 +492,14 @@ def cancellation_scan(
 ) -> ExpSumReport:
     """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice);
     one von Mangoldt sieve to 2 max(N) <= MAX_SIEVE serves every row."""
+    if not 0.5 < gamma <= 1.0:
+        raise PreconditionViolated(f"need 1/2 < gamma <= 1, got {gamma}")
     _require_squarefree(s)
     ns = [int(n) for n in N_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionViolated("N_list must be nonempty and strictly increasing")
+    if ns[0] < 1:
+        raise PreconditionViolated(f"every N must be >= 1, got N = {ns[0]}")
     if 2 * ns[-1] > MAX_SIEVE:
         raise Overflow(f"2 N is capped at the sieve budget {MAX_SIEVE}, got N = {ns[-1]}")
     lam = von_mangoldt_sieve(2 * ns[-1])

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, manifests, exit codes, round trips."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import psqr
 from psqr import census, expsums, kernels, predict, psprimes
-from psqr.cli import _parse_count, main
+from psqr.cli import _parse_count, build_parser, main
 from psqr.errors import CheckFailed, PsqrError
 
 
@@ -68,6 +69,56 @@ def test_unbounded_inputs_exit_4_before_allocating(capsys, argv):
     assert (code, out) == (4, "")
     assert "capped" in err and "Traceback" not in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expsum", "scan", "--gamma", "-1000", "--s", "5"], "1/2 < gamma <= 1"),
+    (["expsum", "scan", "--gamma", "205/243", "--s", "5", "--n-list", "0"], "N must be >= 1"),
+    (["expsum", "vaughan", "--n", "5", "--u", "nan", "--v", "1"], "finite"),
+    (["expsum", "bilinear", "--N", "100", "--M", "200", "--u", "5", "--v", "inf",
+      "--j", "1", "--gamma", "10/11", "--s", "3"], "finite"),
+], ids=["scan-gamma", "scan-n", "vaughan-nan", "bilinear-inf"])
+def test_expsum_malformed_input_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def _leaf_parsers(parser, path=()):
+    """(command name, parser) for every runnable command, as manifests name them."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, (*path, name))
+            return
+    yield ".".join(path), parser
+
+
+_SMALL_RUNS = {
+    "family": ["family", "2,3"],
+    "predict": ["predict", "2,3", "--x", "1e4"],
+    "census": ["census", "2,3", "--range", "1e3,2e3"],
+    "psprimes": ["psprimes", "--c", "3/2", "--range", "1,100"],
+    "expsum.vaughan": ["expsum", "vaughan", "--n", "97", "--u", "5", "--v", "5"],
+    "expsum.psistar": ["expsum", "psistar", "--J", "10", "--grid", "1000"],
+    "expsum.scan": ["expsum", "scan", "--gamma", "205/243", "--s", "3", "--n-list", "4096"],
+    "expsum.bilinear": ["expsum", "bilinear", "--N", "100", "--M", "200", "--u", "5",
+                        "--v", "5", "--j", "1", "--gamma", "10/11", "--s", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_manifest_params_are_the_parsed_options(capsys, command):
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(_SMALL_RUNS)
+    dests = {a.dest for a in leaves[command]._actions} - {"help", "out"}
+    argv = _SMALL_RUNS[command]
+    code, _, err = run_cli(capsys, *argv)
+    manifest = json.loads(err.strip().splitlines()[-1])
+    assert code == 0 and manifest["command"] == command
+    assert set(manifest["params"]) == dests
+    parsed = vars(build_parser().parse_args(argv))
+    assert manifest["params"] == {dest: parsed[dest] for dest in dests}
 
 
 def test_predict_command(capsys):
@@ -129,6 +180,9 @@ def test_census_prime_file_with_a_window_exit_2(tmp_path, capsys, window):
     ["census", "2,3", "--c", "255/254", "--x", "1e100000"],
     ["predict", "2,3", "--x", "1e400"],
     ["predict", "2,3", "--x", "2e308"],  # parses, but no float holds it
+    ["expsum", "scan", "--gamma", "1e400", "--s", "5"],  # likewise gamma
+    ["expsum", "bilinear", "--N", "100", "--M", "200", "--u", "5", "--v", "5",
+     "--j", "1", "--gamma", "1e400", "--s", "3"],
 ])
 def test_huge_x_exit_4_fast(capsys, argv):
     t0 = time.perf_counter()
@@ -345,6 +399,20 @@ def test_psprimes_output_and_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert direct == ingested
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "2,3", "--prime-file", "{tmp}/none/p.txt"],
+    ["census", "2,3", "--prime-file", "{tmp}"],
+    ["family", "2,3", "--out", "{tmp}/none/x.json"],
+], ids=["missing-prime-file", "prime-file-is-a-dir", "out-dir-missing"])
+def test_unusable_path_exit_2(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "output_sha256" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("entry, code", [(str(1 << 64), 4), ("+13", 2), ("15", 2)])

@@ -232,6 +232,12 @@ def test_vaughan_preconditions():
         vaughan(10, 0.5, 1)
 
 
+@pytest.mark.parametrize("u, v", [(math.nan, 5.0), (5.0, math.nan), (math.inf, 5.0), (5.0, math.inf)])
+def test_vaughan_refuses_non_finite_cutoffs(u, v):
+    with pytest.raises(PreconditionViolated, match="finite"):
+        vaughan(101, u, v)
+
+
 def test_l2_with_unit_character_equals_l1():
     assert L1(1000, 2000, 40, 10 / 11) == L2(1000, 2000, 40, 10 / 11, 1)
 
@@ -419,6 +425,12 @@ def test_bilinear_preconditions():
         bilinear_check(10, 200, 5, 50, 1, 10 / 11, 3)  # v exceeds N
 
 
+@pytest.mark.parametrize("u, v", [(math.nan, 5.0), (5.0, math.nan), (math.inf, 5.0), (5.0, math.inf)])
+def test_bilinear_refuses_non_finite_cutoffs(u, v):
+    with pytest.raises(PreconditionViolated, match="finite"):
+        bilinear_check(100, 200, u, v, 1, 10 / 11, 3)
+
+
 @pytest.mark.parametrize("call", [
     lambda: cancellation_scan(205 / 243, 3, [4096, expsums.MAX_SIEVE // 2 + 1]),
     lambda: bilinear_check(100, expsums.MAX_SIEVE + 1, 5, 5, 1, 10 / 11, 3),
@@ -460,3 +472,19 @@ def test_cancellation_scan_report():
         cancellation_scan(gamma, 4, [4096, 8192])
     with pytest.raises(PreconditionViolated):
         cancellation_scan(gamma, 3, [8192, 4096])
+
+
+@pytest.mark.parametrize("gamma, n_list, message", [
+    (-1000.0, [4096], "gamma"),
+    (0.5, [4096], "gamma"),
+    (1.5, [4096], "gamma"),
+    (math.nan, [4096], "gamma"),
+    (205 / 243, [0, 4096], "N must be >= 1"),
+], ids=["gamma-negative", "gamma-half", "gamma-above-1", "gamma-nan", "n-zero"])
+def test_cancellation_scan_checks_its_input_first(monkeypatch, gamma, n_list, message):
+    def no_sieve(limit):
+        raise AssertionError(f"a sieve to {limit} was built")
+
+    monkeypatch.setattr(expsums, "von_mangoldt_sieve", no_sieve)
+    with pytest.raises(PreconditionViolated, match=message):
+        cancellation_scan(gamma, 5, n_list)
