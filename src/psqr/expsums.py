@@ -500,6 +500,8 @@ def cancellation_scan(
         raise PreconditionViolated("N_list must be nonempty and strictly increasing")
     if ns[0] < 1:
         raise PreconditionViolated(f"every N must be >= 1, got N = {ns[0]}")
+    if J is not None and J < 1:
+        raise PreconditionViolated(f"truncation must be >= 1, got {J}")
     if 2 * ns[-1] > MAX_SIEVE:
         raise Overflow(f"2 N is capped at the sieve budget {MAX_SIEVE}, got N = {ns[-1]}")
     lam = von_mangoldt_sieve(2 * ns[-1])

@@ -474,17 +474,18 @@ def test_cancellation_scan_report():
         cancellation_scan(gamma, 3, [8192, 4096])
 
 
-@pytest.mark.parametrize("gamma, n_list, message", [
-    (-1000.0, [4096], "gamma"),
-    (0.5, [4096], "gamma"),
-    (1.5, [4096], "gamma"),
-    (math.nan, [4096], "gamma"),
-    (205 / 243, [0, 4096], "N must be >= 1"),
-], ids=["gamma-negative", "gamma-half", "gamma-above-1", "gamma-nan", "n-zero"])
-def test_cancellation_scan_checks_its_input_first(monkeypatch, gamma, n_list, message):
+@pytest.mark.parametrize("gamma, n_list, J, message", [
+    (-1000.0, [4096], None, "gamma"),
+    (0.5, [4096], None, "gamma"),
+    (1.5, [4096], None, "gamma"),
+    (math.nan, [4096], None, "gamma"),
+    (205 / 243, [0, 4096], None, "N must be >= 1"),
+    (205 / 243, [4096], 0, "truncation must be >= 1"),
+], ids=["gamma-negative", "gamma-half", "gamma-above-1", "gamma-nan", "n-zero", "j-zero"])
+def test_cancellation_scan_checks_its_input_first(monkeypatch, gamma, n_list, J, message):
     def no_sieve(limit):
         raise AssertionError(f"a sieve to {limit} was built")
 
     monkeypatch.setattr(expsums, "von_mangoldt_sieve", no_sieve)
     with pytest.raises(PreconditionViolated, match=message):
-        cancellation_scan(gamma, 5, n_list)
+        cancellation_scan(gamma, 5, n_list, J=J)
