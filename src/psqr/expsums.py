@@ -13,30 +13,28 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import Overflow, PreconditionViolated
 from .kernels import factorize
-from .psprimes import primes_up_to
+from .psprimes import _segment_is_prime, primes_up_to
 from .residues import jacobi_column
 
 TWO_PI = 2.0 * math.pi
 
 # input budgets, checked before what they bound is built (Overflow), well above
-# the benchmark's sizes (a 2**21 sieve for a scan, M ~ 4.2e5 for bilinear)
-MAX_SIEVE = 1 << 23        # sieve length: 2 max(N) for a scan, M for bilinear
+# the benchmark's sizes (rows to 2**21 for a scan, M ~ 4.2e5 for bilinear)
+MAX_SIEVE = 1 << 23        # top M of a sieved row (N, M]: 2 max(N) for a scan, M for bilinear
 MAX_TRUNCATION = 1 << 16   # J of an expansion
 MAX_GRID = 1 << 22         # points of a majorant grid
 MAX_GRID_TERMS = 1 << 30   # grid points times J: the sines a majorant check evaluates
 
-# values per array slice: one psi* thread task (numpy's sin releases the GIL),
-# or one slice of a sieve's logs
+# values per psi* thread task (numpy's sin releases the GIL)
 CHUNK = 1 << 13
 MAX_PSI_STAR_THREADS = 32
-PAIR_SLICE = 1 << 15  # (m, n) pairs of a bilinear sum formed at once
+PAIR_SLICE = 1 << 13  # (m, n) pairs of a bilinear sum formed at once
 
 
 def usable_cpus() -> int:
@@ -178,26 +176,26 @@ def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> di
 
 # -- arithmetic functions ------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def von_mangoldt_sieve(limit: int) -> np.ndarray:
-    """Lambda(0..limit) as an array; treat as read-only."""
-    lam = np.zeros(limit + 1)
-    primes = primes_up_to(limit)
-    # in slices, as an array of every log would stay resident once freed
-    for ps in np.split(primes, range(CHUNK, primes.size, CHUNK)):
-        lam[ps] = np.fromiter(map(math.log, ps), np.float64, ps.size)
-    # only primes up to isqrt(limit) have higher powers in range
-    for p in primes_up_to(math.isqrt(limit)).tolist():
-        pk = p * p
-        while pk <= limit:
-            lam[pk] = lam[p]
-            pk *= p
-    return lam
+def odd_prime_powers(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd prime powers n in (N, M], ascending, and Lambda(n) = math.log(p)
+    of each, for 0 <= N <= M: one row's arithmetic, in memory of order M - N.
+
+    Primes come from the segment sieve of (N, M], higher powers from the odd
+    primes up to isqrt(M).
+    """
+    ns = np.flatnonzero(_segment_is_prime(N + 1, M)) + (N + 1)
+    ns = ns[ns & 1 == 1]
+    # (p^k, p) for each odd prime p <= isqrt(M) and k >= 2 with p^k in (N, M]
+    pk = np.array([(p**k, p) for p in primes_up_to(math.isqrt(M))[1:].tolist()
+                   for k in range(2, int(M).bit_length()) if N < p**k <= M], dtype=np.int64)
+    pk = pk.reshape(-1, 2)
+    order = np.argsort(np.concatenate([ns, pk[:, 0]]))
+    ns, ps = (np.concatenate([ns, pk[:, i]])[order] for i in (0, 1))
+    return ns, np.fromiter(map(math.log, ps), np.float64, ps.size)
 
 
-@lru_cache(maxsize=4)
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..limit) as an int8 array; treat as read-only."""
+    """mu(0..limit) as an int8 array."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     # small[n]: the product of the distinct primes <= isqrt(limit) dividing n; an
@@ -299,27 +297,24 @@ def default_truncation(N: int, gamma: float) -> int:
     return max(1, math.ceil(N ** (1.0 - gamma) * math.log(N)))
 
 
-def _l_sum(N: int, M: int, J: int, gamma: float, s: int, lam: np.ndarray | None = None) -> float:
+def _l_sum(N: int, M: int, J: int, gamma: float, s: int) -> float:
     if not N < M <= 2 * N:
         raise PreconditionViolated(f"need N < M <= 2N, got N = {N}, M = {M}")
     if not 0.5 < gamma <= 1.0:
         raise PreconditionViolated(f"need 1/2 < gamma <= 1, got {gamma}")
-    if J < 1:
-        raise PreconditionViolated("truncation must be >= 1")
-    exp = build_expansion(J)
-    if lam is None:
-        lam = von_mangoldt_sieve(M)
-    ns = np.flatnonzero(lam[N + 1 : M + 1]) + N + 1
-    ns = ns[ns & 1 == 1]  # the sums run over odd integers only
+    if M > MAX_SIEVE:
+        raise Overflow(f"M is capped at the sieve budget {MAX_SIEVE}, got {M}")
+    exp = build_expansion(J)  # refuses J < 1
+    ns, lam = odd_prime_powers(N, M)  # the sums run over odd integers only
     if ns.size == 0:
         return 0.0
     diffs = exp.psi_star(-(ns.astype(np.float64) ** gamma)) - exp.psi_star(
         -((ns + 1).astype(np.float64) ** gamma)
     )
-    contrib = lam[ns] * diffs
+    contrib = lam * diffs
     if s != 1:
         contrib = contrib * jacobi_column(s, ns)
-    return math.fsum(contrib.tolist())
+    return math.fsum(contrib)
 
 
 def L1(N: int, M: int, J: int, gamma: float) -> float:
@@ -354,42 +349,49 @@ def bilinear_check(
 
     if M > MAX_SIEVE:
         raise Overflow(f"M is capped at the sieve budget {MAX_SIEVE}, got {M}")
-    lam = von_mangoldt_sieve(M)
-    mu = mobius_sieve(M)
+    pw, logs = odd_prime_powers(0, M)
+
+    def lam(n: np.ndarray) -> np.ndarray:  # Lambda(n) of odd prime powers n <= M
+        return logs[np.searchsorted(pw, n)]
+
+    mu = mobius_sieve(int(u))  # read at d, e and m <= u only
     # chi[n >> 1] = (s/n) for odd n <= M: every symbol the sums below take
-    odd = np.arange(1, M + 1, 2)
-    chi = jacobi_column(s, odd).astype(np.float64)
-    live = odd[chi != 0]
+    chi = jacobi_column(s, np.arange(1, M + 1, 2, dtype=np.uint64))
+    live = np.flatnonzero(chi) * 2 + 1
 
     # every t = m n below is odd in (N, M]; e(j t^gamma) = cos y + i sin y with
     # y = (2 pi j) t^gamma, t^gamma by Python's pow, as cmath.exp forms it
     t0 = (N + 1) | 1
     ts = range(t0, M + 1, 2)
     y = (TWO_PI * j) * np.fromiter(map(float(gamma).__rpow__, ts), np.float64, len(ts))
-    cos_t, sin_t = np.cos(y), np.sin(y)
+    cos_t, sin_t = np.cos(y), np.sin(y, out=y)
 
     def bilinear(ms: np.ndarray, weight: np.ndarray, lo: np.ndarray, cand: np.ndarray,
-                 coeff) -> list:
+                 coeff) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(real, imag) arrays of x e(j (mn)^gamma), x = coeff(weight(m) (s/m), n), over
         the odd m of ms with nonzero weight and symbol and the n of cand in [lo, M // m].
         A nonzero part rounds as in the product of x + 0i and cos + i sin; fsum
         skips zeros, so their signs do not matter."""
         keep = (weight != 0) & (chi[ms >> 1] != 0)
         ms, weight, lo = ms[keep], weight[keep] * chi[ms[keep] >> 1], lo[keep]
-        parts = []
         for rows, n in _pairs(lo, M // ms, cand):
             x, k = coeff(weight[rows], n), (ms[rows] * n - t0) >> 1
-            parts.append((x * cos_t[k], x * sin_t[k]))
-        return parts
+            yield x * cos_t[k], x * sin_t[k]
 
-    def fold(parts: list) -> complex:
-        return complex(*(math.fsum(itertools.chain.from_iterable(p[i].tolist() for p in parts))
-                         for i in (0, 1)))
+    def fold(*sums: Iterator[tuple[np.ndarray, np.ndarray]]) -> complex:
+        imag = []  # fsum takes the real parts as they are formed, then these
+
+        def real() -> Iterator[list]:
+            for re, im in itertools.chain(*sums):
+                imag.append(im)
+                yield re.tolist()
+        total = math.fsum(itertools.chain.from_iterable(real()))
+        return complex(total, math.fsum(itertools.chain.from_iterable(im.tolist() for im in imag)))
 
     # the sum itself is the m = 1 row over the odd prime powers with a nonzero symbol
-    powers = live[lam[live] != 0]
+    powers = pw[chi[pw >> 1] != 0]
     one = np.ones(1, dtype=np.int64)
-    lhs = fold(bilinear(one, one, one * (N + 1), powers, lambda w, n: w * lam[n] * chi[n >> 1]))
+    lhs = fold(bilinear(one, one, one * (N + 1), powers, lambda w, n: w * lam(n) * chi[n >> 1]))
 
     # a(m) = sum of mu(d) over d | m, d <= u, for the m of the type II sum
     n_min_1 = int(math.floor(v)) + 1  # smallest admissible n in the type-II sum
@@ -398,28 +400,29 @@ def bilinear_check(
     for d in range(1, min(int(u), m_hi) + 1):
         a_arr[d::d] += mu[d]
 
-    # b(m) = sum of Lambda(d) mu(e) over de = m, d <= v, e <= u, added in order of d
+    # b(m) for odd m = sum of Lambda(d) mu(e) over de = m, d <= v, e <= u, in order of d
     cap = min(int(u * v), M)
     b_arr = np.zeros(cap + 1)
-    for d in range(1, int(v) + 1):
+    few = np.searchsorted(pw, v, side="right")  # the odd prime powers d <= v
+    for d, lam_d in zip(pw[:few].tolist(), logs[:few].tolist()):
         e_hi = min(int(u), cap // d)
-        b_arr[d : d * e_hi + 1 : d] += lam[d] * mu[1 : e_hi + 1]
+        b_arr[d : d * e_hi + 1 : d] += lam_d * mu[1 : e_hi + 1]
 
     # type II: -a(m) Lambda(n) over m > u, n > v
     ms = np.arange((int(math.floor(u)) + 1) | 1, m_hi + 1, 2)
-    rhs = bilinear(ms, -a_arr[ms], np.maximum(n_min_1, N // ms + 1), powers,
-                   lambda w, n: w * lam[n] * chi[n >> 1])
+    type_2 = bilinear(ms, -a_arr[ms], np.maximum(n_min_1, N // ms + 1), powers,
+                      lambda w, n: w * lam(n) * chi[n >> 1])
 
     # type I: mu(m) log n over m <= u
     ms = np.arange(1, int(u) + 1, 2)
-    rhs += bilinear(ms, mu[ms], np.maximum(2, N // ms + 1), live,
-                    lambda w, n: w * chi[n >> 1] * list(map(math.log, n.tolist())))
+    type_1 = bilinear(ms, mu[ms], np.maximum(2, N // ms + 1), live, lambda w, n: w * chi[n >> 1]
+                      * np.fromiter(map(math.log, n), np.float64, n.size))
 
     # type I: -b(m) over m <= uv
     ms = np.arange(1, cap + 1, 2)
-    rhs += bilinear(ms, -b_arr[ms], N // ms + 1, live, lambda w, n: w * chi[n >> 1])
+    type_1b = bilinear(ms, -b_arr[ms], N // ms + 1, live, lambda w, n: w * chi[n >> 1])
 
-    return lhs, fold(rhs)
+    return lhs, fold(type_2, type_1, type_1b)
 
 
 def _pairs(lo: np.ndarray, hi: np.ndarray, cand: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
@@ -490,8 +493,8 @@ class ExpSumReport:
 def cancellation_scan(
     gamma: float, s: int, N_list: Sequence[int], J: int | None = None
 ) -> ExpSumReport:
-    """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice);
-    one von Mangoldt sieve to 2 max(N) <= MAX_SIEVE serves every row."""
+    """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice),
+    2 max(N) <= MAX_SIEVE; each row sieves only its own range (N, 2N]."""
     if not 0.5 < gamma <= 1.0:
         raise PreconditionViolated(f"need 1/2 < gamma <= 1, got {gamma}")
     _require_squarefree(s)
@@ -500,15 +503,12 @@ def cancellation_scan(
         raise PreconditionViolated("N_list must be nonempty and strictly increasing")
     if ns[0] < 1:
         raise PreconditionViolated(f"every N must be >= 1, got N = {ns[0]}")
-    if J is not None and J < 1:
-        raise PreconditionViolated(f"truncation must be >= 1, got {J}")
     if 2 * ns[-1] > MAX_SIEVE:
         raise Overflow(f"2 N is capped at the sieve budget {MAX_SIEVE}, got N = {ns[-1]}")
-    lam = von_mangoldt_sieve(2 * ns[-1])
     rows = []
     for N in ns:
         j_max = J if J is not None else default_truncation(N, gamma)
-        val = _l_sum(N, 2 * N, j_max, gamma, s, lam=lam)
+        val = _l_sum(N, 2 * N, j_max, gamma, s)
         rows.append(
             ExpSumRow(
                 N=N, M=2 * N, s=s, j_max=j_max,

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from psqr.expsums import (
     majorant_check,
     mobius,
     mobius_sieve,
+    odd_prime_powers,
     psi,
     vaughan,
     von_mangoldt,
-    von_mangoldt_sieve,
 )
 from psqr.psprimes import primes_up_to
 from psqr.residues import jacobi_column
@@ -43,7 +44,7 @@ def test_psi_examples():
 
 
 def test_arithmetic_functions_match_sieves():
-    lam = von_mangoldt_sieve(2000)
+    lam = _von_mangoldt_loop(2000)
     mu = mobius_sieve(2000)
     for n in range(1, 2001):
         assert von_mangoldt(n) == float(lam[n])
@@ -79,12 +80,38 @@ def _mobius_loop(limit):
 @example(4)
 @example(1 << 16)
 def test_sieves_match_loops_at_any_limit(limit):
-    lam, mu = von_mangoldt_sieve(limit), mobius_sieve(limit)
-    assert lam.dtype == np.float64 and mu.dtype == np.int8
-    assert np.array_equal(lam.view(np.uint64), _von_mangoldt_loop(limit).view(np.uint64))
+    (ns, logs), mu = odd_prime_powers(0, limit), mobius_sieve(limit)
+    assert logs.dtype == np.float64 and mu.dtype == np.int8
+    lam = np.zeros(limit + 1)
+    lam[ns] = logs
+    want = _von_mangoldt_loop(limit)
+    want[::2] = 0.0
+    assert np.array_equal(lam.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(mu, _mobius_loop(limit))
     for n in random.Random(limit).sample(range(1, limit + 1), min(limit, 50)):
-        assert (von_mangoldt(n), mobius(n)) == (float(lam[n]), int(mu[n]))
+        assert (von_mangoldt(n) if n & 1 else 0.0, mobius(n)) == (float(lam[n]), int(mu[n]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.integers(300, 1 << 16)).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(N + 1, 2 * N))))
+@example((0, 1))
+@example((0, 100))
+@example((1, 2))
+@example((26, 27))  # ends on 3^3
+@example((27, 54))  # starts just past 3^3
+@example((3124, 6249))  # starts on 5^5
+@example((59048, 59049))  # one value, 3^10
+@example((39063, 78125))  # ends on 5^7
+@example((1 << 16, 1 << 17))
+def test_odd_prime_powers_match_loop(row):
+    N, M = row
+    ns, logs = odd_prime_powers(N, M)
+    lam = _von_mangoldt_loop(M)
+    want = np.array([n for n in range(N + 1, M + 1) if n & 1 and lam[n]], dtype=np.int64)
+    assert ns.dtype == np.int64 and np.array_equal(ns, want)
+    assert logs.dtype == np.float64
+    assert np.array_equal(logs.view(np.uint64), lam[want].view(np.uint64))
 
 
 def _psi_star_sweep(exp, x):
@@ -240,6 +267,7 @@ def test_vaughan_refuses_non_finite_cutoffs(u, v):
 
 def test_l2_with_unit_character_equals_l1():
     assert L1(1000, 2000, 40, 10 / 11) == L2(1000, 2000, 40, 10 / 11, 1)
+    assert L1(np.int64(1000), np.int64(2000), 40, 10 / 11) == L1(1000, 2000, 40, 10 / 11)
 
 
 def test_l_sums_validation():
@@ -275,7 +303,7 @@ def test_l2_matches_scalar_recomputation():
 def test_l2_beats_triviality_bound():
     N, M, J, gamma, s = 10**4, 2 * 10**4, 50, 10 / 11, 3
     exp = build_expansion(J)
-    lam = von_mangoldt_sieve(M)
+    lam = _von_mangoldt_loop(M)
     sup_psi_star = 2.0 * sum(abs(exp.a_coeffs[j]) for j in range(1, J + 1))
     odd_mass = sum(float(lam[n]) for n in range(N + 1, M + 1) if n & 1)
     trivial = 2.0 * sup_psi_star * odd_mass
@@ -302,8 +330,8 @@ def test_bilinear_examples():
 def _bilinear_loop(N, M, u, v, j, gamma, s):
     """bilinear_check one term at a time: a cmath.exp phase per term, Python
     loops over every m and n. The reference for the array sums."""
-    lam = von_mangoldt_sieve(M)
-    mu = mobius_sieve(M)
+    lam = _von_mangoldt_loop(M)
+    mu = _mobius_loop(M)
     chi = jacobi_column(s, np.arange(1, M + 1, 2, dtype=np.uint64)).tolist()
 
     def phase(t):
@@ -434,16 +462,19 @@ def test_bilinear_refuses_non_finite_cutoffs(u, v):
 @pytest.mark.parametrize("call", [
     lambda: cancellation_scan(205 / 243, 3, [4096, expsums.MAX_SIEVE // 2 + 1]),
     lambda: bilinear_check(100, expsums.MAX_SIEVE + 1, 5, 5, 1, 10 / 11, 3),
+    lambda: L1(10**9, 2 * 10**9, 5, 0.9),
+    lambda: L2(expsums.MAX_SIEVE // 2 + 1, expsums.MAX_SIEVE + 2, 5, 0.9, 3),
     lambda: majorant_check(1, grid_points=expsums.MAX_GRID + 1),
     lambda: majorant_check(expsums.MAX_TRUNCATION,
                            grid_points=expsums.MAX_GRID_TERMS // expsums.MAX_TRUNCATION + 1),
     lambda: build_expansion(expsums.MAX_TRUNCATION + 1),
-], ids=["scan", "bilinear", "grid", "grid-terms", "truncation"])
+], ids=["scan", "bilinear", "L1", "L2", "grid", "grid-terms", "truncation"])
 def test_expsum_budgets_refuse_before_allocating(monkeypatch, call):
     def no_alloc(*args, **kwargs):
         raise AssertionError(f"a sieve or grid was built: {args}")
 
-    monkeypatch.setattr(expsums, "von_mangoldt_sieve", no_alloc)
+    monkeypatch.setattr(expsums, "odd_prime_powers", no_alloc)
+    monkeypatch.setattr(expsums, "_segment_is_prime", no_alloc)
     monkeypatch.setattr(expsums, "mobius_sieve", no_alloc)
     monkeypatch.setattr(np, "linspace", no_alloc)
     with pytest.raises(Overflow):
@@ -483,9 +514,22 @@ def test_cancellation_scan_report():
     (205 / 243, [4096], 0, "truncation must be >= 1"),
 ], ids=["gamma-negative", "gamma-half", "gamma-above-1", "gamma-nan", "n-zero", "j-zero"])
 def test_cancellation_scan_checks_its_input_first(monkeypatch, gamma, n_list, J, message):
-    def no_sieve(limit):
-        raise AssertionError(f"a sieve to {limit} was built")
+    def no_sieve(*args):
+        raise AssertionError(f"a sieve of {args} was built")
 
-    monkeypatch.setattr(expsums, "von_mangoldt_sieve", no_sieve)
+    monkeypatch.setattr(expsums, "odd_prime_powers", no_sieve)
+    monkeypatch.setattr(expsums, "_segment_is_prime", no_sieve)
     with pytest.raises(PreconditionViolated, match=message):
         cancellation_scan(gamma, 5, n_list, J=J)
+
+
+def test_cancellation_scan_sieves_one_row_at_a_time():
+    # a dense Lambda table to 2 max(N) = 2**20 would take 8 MB by itself
+    tracemalloc.start()
+    try:
+        rep = cancellation_scan(205 / 243, 3, [1 << 17, 1 << 18, 1 << 19])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 3
+    assert peak < 8 << 20, peak
