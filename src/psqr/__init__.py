@@ -7,6 +7,14 @@ the sawtooth/Vaughan exponential-sum machinery.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# psqr makes no BLAS call, but OpenBLAS starts a spinning thread per CPU as
+# numpy loads. A value already set wins; numpy loaded first is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .census import (
     CensusConfig,
     CensusReport,

@@ -28,17 +28,19 @@ import json
 import math
 from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
+from .errors import (
+    BadPrimeFile, Overflow, PreconditionViolated, ResourceLimit, SetTooLarge, WindowTooSmall,
+)
 from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
-    BLOCK_SIZE, PRIME_BUDGET, PsPrimeRange, RationalExponent, prime_flags, ps_prime_array,
+    _SIEVE_SPAN, _SIEVE_VALUE_CAP, BLOCK_SIZE, PRIME_BUDGET, PsPrimeRange, RationalExponent,
+    floor_pow, prime_flags, ps_prime_array,
 )
 from .residues import symbol_bits
 
@@ -86,6 +88,8 @@ class CensusReport:
     predicted: Prediction
     deviations: dict[str, float]
     max_abs_deviation: float
+    # processes that counted the blocks: a run fact for the manifest, not the report
+    workers: int = 1
 
     @property
     def total_defined(self) -> int:
@@ -231,22 +235,78 @@ def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
     return _count_patterns(basis, primes)
 
 
-def _run_blocks(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
-    """fn over tasks, lazily and in task order: map at threads == 1, else one
-    process pool with at most 2 x threads tasks in flight, whose queued tasks
-    are cancelled and workers joined however the run ends."""
-    if threads == 1:
+# serial census seconds per n (census_workers): float floors at c > 1, then the
+# prime_flags tier of the top floor: segment sieve, batched or scalar Miller-Rabin
+_FLOOR_S, _SIEVE_S, _BATCHED_S, _SCALAR_S = 3e-8, 1.2e-8, 1.5e-6, 7e-6
+# estimated serial seconds from which a window forks a pool: ~10x its start cost
+POOL_MIN_WORK_S = 0.25
+
+
+def census_workers(window: PsPrimeRange, block_size: int, threads: int) -> int:
+    """Worker processes for a census of window in blocks of block_size n: 1,
+    this process, or a pool of at most threads, and at most one per block.
+
+    A pool is forked only for two blocks or more whose estimated serial work,
+    n times a per-n cost, reaches POOL_MIN_WORK_S. The cost is that of the
+    prime_flags tier of the window's top floor: the segment sieve when it is
+    below _SIEVE_VALUE_CAP and floors there lie under _SIEVE_SPAN apart,
+    batched Miller-Rabin below 2**53, else scalar is_prime; at c > 1, plus
+    the float floors. Measured in process on a 2-vCPU Xeon with numpy 2.4,
+    best of 3, serial and then at 2 workers (seconds):
+
+        c = 11/10, x = 610,677, 2**16 n blocks   0.027  0.028  43 ns/n
+        c = 11/10, x = 610,677, 2**18 n blocks   0.025  0.040  41 ns/n
+        c = 1, (6e6, 9e6], 8 elements, 2**16     0.073  0.068  24 ns/n
+        c = 1, (6e6, 9e6], 8 elements, 2**20     0.040  0.055  13 ns/n
+        c = 1, (0, 1e8], 2**19                   0.86   0.51   8.6 ns/n
+        c = 1, (0, 1e8], 2**22                   1.18   0.70   12 ns/n
+        c = 11/10, 6 x 2**16 n, floors ~2**52    0.64   0.48   1.6 us/n
+        c = 1, 4 x 2**16 n from 2**62            1.96   1.31   7.5 us/n
+
+    A pool of two that counts two tiny blocks (c = 1, (0, 2000]) takes
+    0.014 s against 0.0005 s serial, so a window repays one only from a few
+    tenths of a second. The rule reads no clock and no CPU count, so a run
+    forks the same pool on any host.
+    """
+    c = window.exponent
+    top = floor_pow(window.hi, c)
+    if top < _SIEVE_VALUE_CAP and top * c.num < _SIEVE_SPAN * window.hi * c.den:
+        per_n = _SIEVE_S  # c top / hi is the floors' spacing at the top
+    elif top < 1 << 53:
+        per_n = _BATCHED_S
+    else:
+        per_n = _SCALAR_S
+    if c.num != c.den:
+        per_n += _FLOOR_S
+    n = window.hi - window.lo
+    blocks = -(-n // block_size)
+    if threads == 1 or blocks < 2 or n * per_n < POOL_MIN_WORK_S:
+        return 1
+    return min(threads, blocks)
+
+
+def _run_blocks(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
+    """fn over tasks, lazily and in task order: map at workers == 1, else one
+    process pool with at most 2 x workers tasks in flight, whose queued tasks
+    are cancelled and workers joined however the run ends. A worker that dies
+    raises ResourceLimit."""
+    if workers == 1:
         yield from map(fn, tasks)
         return
-    executor = ProcessPoolExecutor(max_workers=threads)
+    # multiprocessing is imported only by a run that forks
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(max_workers=workers)
     try:
         in_flight = deque()
         for task in tasks:
             in_flight.append(executor.submit(fn, task))
-            if len(in_flight) == 2 * threads:
+            if len(in_flight) == 2 * workers:
                 yield in_flight.popleft().result()
         while in_flight:
             yield in_flight.popleft().result()
+    except BrokenProcessPool as exc:
+        raise ResourceLimit("a census worker process died") from exc
     finally:
         executor.shutdown(cancel_futures=True)
 
@@ -263,16 +323,16 @@ def run_census(config: CensusConfig) -> CensusReport:
         raise Overflow(f"threads are capped at {MAX_THREADS}, got {config.threads}")
 
     prediction = parity_analysis(config.elements)
-    threads = config.threads
     if config.prime_file is not None:
         if (config.x, config.lo, config.hi) != (None, None, None):
             raise PreconditionViolated("a census reads a prime_file or a window, not both")
         blocks = prime_file_blocks(config.prime_file, config.block_size)
+        # a file's size and values are unknown until it is read: threads > 1 forks
+        workers = config.threads
     else:
         window = config.window()
         blocks = window.blocks(config.block_size)
-        # a worker per block at most: a one-block window runs in this process
-        threads = min(threads, -(-(window.hi - window.lo) // config.block_size))
+        workers = census_workers(window, config.block_size, config.threads)
     if config.x is not None:
         # the window is validated first, so x < 2**64 bounds the power below;
         # dyadic windows must dominate prod(S)**gamma for the side condition to vanish
@@ -284,7 +344,7 @@ def run_census(config: CensusConfig) -> CensusReport:
 
     basis = _basis(prediction.family)
     tasks = ((basis, block) for block in blocks)
-    partials = _run_blocks(_census_block, tasks, threads)
+    partials = _run_blocks(_census_block, tasks, workers)
     total = 0
     skipped = 0
     mask_counts: dict[int, int] = {}
@@ -313,6 +373,7 @@ def run_census(config: CensusConfig) -> CensusReport:
         predicted=prediction,
         deviations=deviations,
         max_abs_deviation=max_abs,
+        workers=workers,
     )
 
 

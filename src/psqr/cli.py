@@ -4,8 +4,9 @@ Each command turns its parsed options into report chunks and a verdict;
 main alone times the run, emits it and picks the exit code. The report
 streams to stdout, or to --out, which appears only once complete; then a
 run manifest (command, params, version, wall time, output checksum,
-environment) goes to stderr, and with --out next to the report too. Its
-params are the options exactly as parsed, defaults included, less --out.
+environment, and a census's worker processes) goes to stderr, and with
+--out next to the report too. Its params are the options exactly as parsed,
+defaults included, less --out.
 A command that fails emits no manifest.
 
 Exit codes: 0 success, 2 usage or parse error or an unusable path (any
@@ -27,7 +28,6 @@ import platform
 import re
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterable
@@ -90,8 +90,8 @@ def _parse_gamma(text: str) -> float:
 
 def _params(args) -> dict:
     """The options as parsed, defaults included, less those that route the
-    run or place its report."""
-    routing = ("func", "command", "subcommand", "out")
+    run or place its report, and the census's worker count."""
+    routing = ("func", "command", "subcommand", "out", "workers")
     return {k: v for k, v in vars(args).items() if k not in routing}
 
 
@@ -121,8 +121,11 @@ def _emit(args, chunks: Iterable[str], t0: float) -> None:
         "output_sha256": digest.hexdigest(),
         # what bench numbers depend on; cpus is the psi* sweep's thread count
         "env": {"python": platform.python_version(), "numpy": np.__version__, "cpus": usable_cpus(),
-                "numba_importable": importlib.util.find_spec("numba") is not None},
+                "numba_importable": importlib.util.find_spec("numba") is not None,
+                "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
     }
+    if hasattr(args, "workers"):
+        manifest["workers"] = args.workers
     if out:
         with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -182,6 +185,7 @@ def cmd_census(args):
         threads=args.threads,
     )
     report = run_census(config)
+    args.workers = report.workers  # processes that counted: the manifest's, not a param
     return [report.to_csv() if args.csv else report.to_json()], True
 
 
@@ -316,7 +320,7 @@ def main(argv=None) -> int:
         chunks, passed = args.func(args)
         _emit(args, chunks, t0)
         return 0 if passed else 3
-    except (ResourceLimit, MemoryError, BrokenProcessPool) as exc:
+    except (ResourceLimit, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     except CheckFailed as exc:

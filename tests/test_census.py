@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from unittest import mock
 
@@ -96,21 +96,51 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    # every window of two blocks or more repays a pool
+    monkeypatch.setattr(census, "POOL_MIN_WORK_S", 0.0)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
     base = CensusConfig(elements=(2, 3), lo=0, hi=1000, block_size=1000, threads=8)
     want = {}
     for hi, workers in ((1000, []), (1001, [2]), (3000, [3]), (20_000, [8])):
         config = dataclasses.replace(base, hi=hi)
         want[hi] = run_census(dataclasses.replace(config, threads=1)).to_json()
         started.clear()
-        assert run_census(config).to_json() == want[hi]
-        assert started == workers, hi
+        report = run_census(config)
+        assert report.to_json() == want[hi]
+        assert started == workers and report.workers == (workers or [1])[0], hi
     # a prime file's block count is unknown until it is read: the pool keeps threads
     path = str(tmp_path / "primes.txt")
     write_prime_file(path, primes_up_to(1000).tolist())
     started.clear()
     report = run_census(dataclasses.replace(base, lo=None, hi=None, prime_file=path))
-    assert report.to_json() == want[1000] and started == [8]
+    assert report.to_json() == want[1000] and started == [8] == [report.workers]
+
+
+_N52 = integer_nth_root(1 << 520, 11)  # floors from ~2**52 at c = 11/10
+
+
+@pytest.mark.parametrize("c, lo, hi, block, threads, workers", [
+    # light windows, timed at 0.005-0.07 s serial: a pool loses
+    (C11, 610_677, 1_221_354, 1 << 16, 2, 1),
+    (C11, 610_677, 1_221_354, 1 << 18, 2, 1),
+    (RationalExponent(243, 205), 67_000, 134_000, 1 << 16, 2, 1),
+    (C1, 6_000_000, 9_000_000, 1 << 16, 2, 1),
+    (C1, 6_000_000, 9_000_000, 1 << 20, 2, 1),
+    # heavy windows, timed at 0.6-2 s serial: a pool repays itself
+    (C1, 0, 10**8, 1 << 19, 2, 2),
+    (C1, 0, 10**8, 1 << 22, 2, 2),
+    (C11, _N52, _N52 + 6 * (1 << 16), 1 << 16, 2, 2),
+    (C1, 1 << 62, (1 << 62) + 4 * (1 << 16), 1 << 16, 2, 2),
+    # threads bound the pool, and so do the blocks
+    (C1, 0, 10**8, 1 << 22, 32, 24),
+    (C1, 1 << 62, (1 << 62) + 4 * (1 << 16), 1 << 16, 8, 4),
+    (C1, 0, 10**8, 1 << 22, 1, 1),
+    (C1, 1 << 62, (1 << 62) + (1 << 16), 1 << 16, 8, 1),
+    # sparse floors below the sieve's cap take Miller-Rabin, a per-n cost to repay
+    (RationalExponent(19, 10), 10**6, 2 * 10**6, 1 << 16, 2, 2),
+], ids=str)
+def test_census_workers_rule(c, lo, hi, block, threads, workers):
+    assert census.census_workers(PsPrimeRange(c, lo, hi), block, threads) == workers
 
 
 def test_census_block_size_invariance():
@@ -181,9 +211,22 @@ def test_census_bytes_for_any_block_size_and_thread_count(config, from_file, blo
             write_prime_file(path, (p for _, p in ps_primes_in(rng)))
             config = dataclasses.replace(config, prime_file=path, lo=None, hi=None)
         want = run_census(config).to_json()
-        for threads in (1, 2):
-            got = run_census(dataclasses.replace(config, block_size=block, threads=threads))
-            assert got.to_json() == want
+        got = run_census(dataclasses.replace(config, block_size=block))
+        assert got.to_json() == want and got.workers == 1
+        # every window of two blocks or more forks a pool of two; a file always does
+        workers = 2 if from_file else min(2, -(-(config.hi - config.lo) // block))
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        with mock.patch.object(census, "POOL_MIN_WORK_S", 0.0), \
+                mock.patch("concurrent.futures.process.ProcessPoolExecutor", RecordingPool):
+            got = run_census(dataclasses.replace(config, block_size=block, threads=2))
+        assert got.to_json() == want and got.workers == workers
+        assert started == ([2] if workers == 2 else [])
 
 
 @st.composite

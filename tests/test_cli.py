@@ -7,9 +7,11 @@ import json
 import multiprocessing
 import os
 import platform
+import subprocess
+import sys
 import time
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -311,22 +313,78 @@ def test_census_thread_cap_exit_4_before_any_process(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+    # a window of 10 blocks that would fork if its thread count were taken
+    monkeypatch.setattr(census, "POOL_MIN_WORK_S", 0.0)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
     cap = census.MAX_THREADS
-    argv = ["census", "2,3", "--x", "1e4", "--threads", str(cap + 1)]
+    argv = ["census", "2,3", "--x", "1e4", "--block-size", "1000", "--threads", str(cap + 1)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert f"capped at {cap}" in err and "Traceback" not in err
 
 
+def test_census_light_window_runs_in_process(capsys, monkeypatch):
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
+    # a bench census_ps window: ~0.03 s of blocks, which a pool would only slow
+    argv = ["census", "33,22", "--c", "11/10", "--x", "610677"]
+    code, out, err = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0 and started == [] and json.loads(err.splitlines()[-1])["workers"] == 1
+    assert run_cli(capsys, *argv, "--threads", "1")[1] == out and "workers" not in out
+    # the manifest names the pool a heavy window forks, and the report does not
+    monkeypatch.setattr(census, "POOL_MIN_WORK_S", 0.0)
+    window = ["census", "2,3", "--range", "0,3000", "--block-size", "1000"]
+    code, out, err = run_cli(capsys, *window, "--threads", "8")
+    assert code == 0 and started == [3] and json.loads(err.splitlines()[-1])["workers"] == 3
+    assert run_cli(capsys, *window, "--threads", "1")[1] == out
+
+
+def _fresh_python(code: str, **env) -> str:
+    """stdout of code run by a new interpreter that imports this psqr, with
+    env's variables set (None: unset)."""
+    paths = [str(os.path.dirname(os.path.dirname(psqr.__file__))), os.environ.get("PYTHONPATH")]
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    for key, value in env.items():
+        child.pop(key, None)
+        if value is not None:
+            child[key] = value
+    out = subprocess.run([sys.executable, "-c", code], env=child, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_import_cli_leaves_multiprocessing_out():
+    code = "import sys, psqr.cli; print('multiprocessing' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("first, preset, want", [
+    ("", None, "1"), ("", "3", "3"), ("import numpy; ", None, "None"),
+], ids=["unset", "preset", "numpy-first"])
+def test_import_sets_one_blas_thread_by_default(first, preset, want):
+    code = f"import os; {first}import psqr; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=preset) == want
+
+
 def _fail_past_the_first_block(c, lo, hi):
     if lo > 10**4:
-        raise CheckFailed("forced")
+        raise CheckFailed(f"forced in process {os.getpid()}")
     return psprimes.ps_prime_array(c, lo, hi)
+
+
+_TEST_PID = os.getpid()
 
 
 def _crash_past_the_first_block(c, lo, hi):
     if lo > 10**4:
+        # a block run in the test's own process must not end it
+        assert os.getpid() != _TEST_PID, "the block ran in process, not in a worker"
         os._exit(1)
     return psprimes.ps_prime_array(c, lo, hi)
 
@@ -335,7 +393,16 @@ def _crash_past_the_first_block(c, lo, hi):
     ("bad line", 2), (_fail_past_the_first_block, 3), (_crash_past_the_first_block, 4),
 ], ids=["bad-line", "check-failed", "worker-crash"])
 def test_census_failure_in_a_later_block_with_a_pool(tmp_path, capsys, monkeypatch, source, code):
-    # fork-started workers inherit the patched ps_prime_array
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    # a light window forks only when told to; fork-started workers inherit the patches
+    monkeypatch.setattr(census, "POOL_MIN_WORK_S", 0.0)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
     if source == "bad line":
         path = tmp_path / "primes.txt"
         census.write_prime_file(str(path), [*psprimes.primes_up_to(10**4).tolist(), 10**4 + 1])
@@ -349,9 +416,13 @@ def test_census_failure_in_a_later_block_with_a_pool(tmp_path, capsys, monkeypat
     assert (got, out) == (code, "")
     assert "output_sha256" not in err and "Traceback" not in err
     assert not report.exists() and not (tmp_path / "report.json.manifest.json").exists()
-    assert multiprocessing.active_children() == []
+    assert multiprocessing.active_children() == [] and started == [2]
     if source == "bad line":
         assert f"{path}:1230: 10001 is not prime" in err
+    elif code == 3:
+        assert "forced in process" in err and f"forced in process {os.getpid()}" not in err
+    else:
+        assert err == "error: a census worker process died\n"
 
 
 def test_psprimes_failure_mid_stream(tmp_path, capsys, monkeypatch):
@@ -368,7 +439,8 @@ def test_psprimes_failure_mid_stream(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("exc", [MemoryError, BrokenProcessPool])
+# a worker that dies is test_census_failure_in_a_later_block_with_a_pool[worker-crash]
+@pytest.mark.parametrize("exc", [MemoryError])
 def test_census_worker_crash_exit_4(capsys, monkeypatch, exc):
     def crash(task):
         raise exc()
@@ -517,7 +589,8 @@ def test_manifest_env_leaves_the_report_alone(capsys, tmp_path, argv, sha256):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
     assert manifest["output_sha256"] == sha256 and "env" not in out
     env = manifest["env"]
-    assert set(env) == {"python", "numpy", "numba_importable", "cpus"}
+    assert set(env) == {"python", "numpy", "numba_importable", "cpus", "openblas_num_threads"}
+    assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
     assert env["cpus"] == expsums.usable_cpus() >= 1 and isinstance(env["numba_importable"], bool)
     out_path = tmp_path / "report.txt"
