@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -439,18 +440,31 @@ def test_psprimes_failure_mid_stream(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# a worker that dies is test_census_failure_in_a_later_block_with_a_pool[worker-crash]
-@pytest.mark.parametrize("exc", [MemoryError])
-def test_census_worker_crash_exit_4(capsys, monkeypatch, exc):
-    def crash(task):
-        raise exc()
+def _break_the_pool(task):
+    raise BrokenProcessPool()
 
+
+def _run_out_of_memory(task):
+    raise MemoryError()
+
+
+# a worker that dies is test_census_failure_in_a_later_block_with_a_pool[worker-crash]
+@pytest.mark.parametrize("crash, threads", [
+    (_break_the_pool, "2"), (_run_out_of_memory, "1"),
+], ids=["BrokenProcessPool", "MemoryError"])
+def test_census_worker_crash_exit_4(capsys, monkeypatch, crash, threads):
+    # a broken pool is raised by a pool's futures only, so that case forks one
+    monkeypatch.setattr(census, "POOL_MIN_WORK_S", 0.0)
     monkeypatch.setattr(census, "_census_block", crash)
-    code, out, err = run_cli(capsys, "census", "2,3", "--c", "1", "--x", "1e4", "--threads", "1")
+    argv = ["census", "2,3", "--c", "1", "--x", "1e4", "--block-size", "1000", "--threads", threads]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    if crash is _break_the_pool:
+        assert err == "error: a census worker process died\n"
 
 
 def test_psprimes_output_and_round_trip(tmp_path, capsys):
