@@ -18,14 +18,11 @@ if "numpy" not in sys.modules:
 from .census import (
     CensusConfig,
     CensusReport,
-    convergence_table,
     prime_file_blocks,
     run_census,
-    write_prime_file,
 )
 from .errors import (
     BadPrimeFile,
-    BasisIncomplete,
     CheckFailed,
     DuplicateElement,
     EmptySet,
@@ -54,11 +51,9 @@ from .expsums import (
     vaughan,
 )
 from .kernels import (
-    ExponentVector,
     Factorization,
     SquareSubsetFamily,
     brute_force_family,
-    exponent_vector,
     factorize,
     is_square,
     square_subset_family,
@@ -80,6 +75,5 @@ from .psprimes import (
     integer_nth_root,
     is_prime,
     is_ps_prime,
-    ps_primes_in,
 )
 from .residues import SignPattern, jacobi, legendre_euler, pattern_at

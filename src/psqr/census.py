@@ -23,13 +23,13 @@ element, or p = 2, is skipped.
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import json
 import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class CensusReport:
     @property
     def qr_fraction(self) -> float:
         return self.qr_count / self.total_defined if self.total_defined else 0.0
-
-    @property
-    def nqr_fraction(self) -> float:
-        return self.nqr_count / self.total_defined if self.total_defined else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,19 +173,6 @@ def prime_file_blocks(path: str, block_size: int = BLOCK_SIZE) -> Iterator[np.nd
             if not values.size:
                 return
             yield values
-
-
-def write_prime_file(path: str, primes: Iterable[int], comment: str | None = None) -> int:
-    """Write primes one per line; returns the number written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        for p in primes:
-            fh.write(f"{p}\n")
-            count += 1
-    return count
 
 
 # -- block workers -------------------------------------------------------------
@@ -326,9 +309,11 @@ def run_census(config: CensusConfig) -> CensusReport:
     if config.prime_file is not None:
         if (config.x, config.lo, config.hi) != (None, None, None):
             raise PreconditionViolated("a census reads a prime_file or a window, not both")
+        # a file's size is unknown until it is read: a pool only for two blocks or more
         blocks = prime_file_blocks(config.prime_file, config.block_size)
-        # a file's size and values are unknown until it is read: threads > 1 forks
-        workers = config.threads
+        head = list(itertools.islice(blocks, 2))
+        workers = config.threads if len(head) == 2 else 1
+        blocks = itertools.chain(head, blocks)
     else:
         window = config.window()
         blocks = window.blocks(config.block_size)
@@ -375,18 +360,3 @@ def run_census(config: CensusConfig) -> CensusReport:
         max_abs_deviation=max_abs,
         workers=workers,
     )
-
-
-def convergence_table(
-    config: CensusConfig, x_values: Sequence[int]
-) -> list[tuple[int, float, float, float]]:
-    """One census per x: rows (x, observed qr fraction, predicted, deviation)."""
-    if any(b <= a for a, b in zip(x_values, x_values[1:])):
-        raise PreconditionViolated("x_values must be strictly increasing")
-    rows = []
-    for x in x_values:
-        report = run_census(dataclasses.replace(config, x=x, lo=None, hi=None))
-        predicted = float(report.predicted.qr_density)
-        observed = report.qr_fraction
-        rows.append((x, observed, predicted, observed - predicted))
-    return rows

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .census import CensusConfig, run_census
-from .errors import CheckFailed, Overflow, ResourceLimit, UsageError
+from .errors import CheckFailed, Overflow, PreconditionViolated, ResourceLimit, UsageError
 from .expsums import (
     bilinear_check,
     cancellation_scan,
@@ -172,6 +172,8 @@ def cmd_census(args):
     c = RationalExponent.parse(args.c)
     if args.source == "all" and c != RationalExponent(1, 1):
         raise ValueError(f"--source all is the c = 1 stream; it conflicts with --c {c}")
+    if args.source == "all" and args.prime_file is not None:
+        raise PreconditionViolated("a census reads a prime_file or a window, not both")
     x = _parse_count(args.x) if args.x is not None else None
     lo, hi = _parse_range(args.range) if args.range is not None else (None, None)
     config = CensusConfig(

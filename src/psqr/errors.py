@@ -24,10 +24,6 @@ class DuplicateElement(UsageError):
     """The element set contains a repeated value."""
 
 
-class BasisIncomplete(UsageError):
-    """An odd-exponent prime of the input lies outside the given basis."""
-
-
 class EvenModulus(UsageError):
     """Jacobi symbol requested for an even or nonpositive modulus."""
 

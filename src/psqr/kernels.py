@@ -1,4 +1,4 @@
-"""Factorization, odd-exponent prime signatures, and the square-subset family.
+"""Factorization and the square-subset family.
 
 The family of nonempty subsets of a finite set whose element product is a
 perfect square is the nonzero part of a GF(2) kernel: each element maps to
@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    BasisIncomplete,
-    CheckFailed,
-    DuplicateElement,
-    EmptySet,
-    Overflow,
-    SetTooLarge,
-)
+from .errors import CheckFailed, DuplicateElement, EmptySet, Overflow, SetTooLarge
 from .psprimes import is_prime, primes_up_to
 
 FACTOR_BUDGET = 1 << 64
@@ -103,45 +96,6 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Prime exponents of an integer along a fixed basis, reduced mod 2.
-
-    The set bits are exactly the odd-exponent primes of the integer,
-    restricted to the basis; the all-zero vector marks a perfect square.
-    """
-
-    basis: tuple[int, ...]
-    bits: tuple[int, ...]
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i, b in enumerate(self.bits):
-            if b:
-                m |= 1 << i
-        return m
-
-    @property
-    def is_square_vector(self) -> bool:
-        return not any(self.bits)
-
-
-def exponent_vector(a: int, basis: Sequence[int]) -> ExponentVector:
-    """Mod-2 exponents of a along basis; every odd-exponent prime must appear."""
-    basis = tuple(basis)
-    if any(basis[i] >= basis[i + 1] for i in range(len(basis) - 1)):
-        raise ValueError("basis must be strictly increasing")
-    index = {p: i for i, p in enumerate(basis)}
-    bits = [0] * len(basis)
-    for p, e in factorize(a).factors:
-        if e & 1:
-            if p not in index:
-                raise BasisIncomplete(f"prime {p} divides {a} to an odd power but is not in the basis")
-            bits[index[p]] = 1
-    return ExponentVector(basis, tuple(bits))
 
 
 @dataclass(frozen=True, eq=False)

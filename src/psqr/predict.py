@@ -69,10 +69,6 @@ def pattern_density(S: Iterable[int], eps: Sequence[int]) -> Fraction:
     residue and non-residue densities.
     """
     fam = square_subset_family(S)
-    return pattern_density_of(fam, eps)
-
-
-def pattern_density_of(fam: SquareSubsetFamily, eps: Sequence[int]) -> Fraction:
     if fam.set_size > PATTERN_SET_CAP:
         raise SetTooLarge(f"pattern densities are capped at {PATTERN_SET_CAP} elements")
     if len(eps) != fam.set_size or any(e not in (1, -1) for e in eps):

@@ -385,16 +385,6 @@ class PsPrimeRange:
 BLOCK_SIZE = 1 << 16
 
 
-def ps_primes_in(rng: PsPrimeRange, block_size: int = BLOCK_SIZE) -> Iterator[tuple[int, int]]:
-    """Yield (n, floor(n**c)) for rng.lo < n <= rng.hi where the floor is prime.
-
-    Processed in the window's blocks by ps_prime_array; ascending in n.
-    """
-    for block in rng.blocks(block_size):
-        ns, floors = ps_prime_array(*block)
-        yield from zip(ns.tolist(), floors.tolist())
-
-
 def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The n in (lo, hi] whose floor(n**c) is prime, and those floors, as two
     ascending uint64 arrays; 0 <= lo < hi with floor(hi**c) < PRIME_BUDGET.

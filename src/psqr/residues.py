@@ -248,10 +248,7 @@ def legendre_euler(a: int, p: int) -> int:
     row = _euler_rows.get(p)
     if row is not None:
         return row[a % p]
-    ok = _prime_verdicts.get(p)
-    if ok is None:
-        ok = _odd_prime(p)
-    if not ok:
+    if not _odd_prime(p):
         raise NotPrime(f"Euler's criterion needs an odd prime, got {p}")
     if p < ROW_CAP:
         row = _EULER_ROWS.row_after(p)

@@ -16,13 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from psqr import census, kernels, residues
-from psqr.census import (
-    CensusConfig,
-    convergence_table,
-    prime_file_blocks,
-    run_census,
-    write_prime_file,
-)
+from psqr.census import CensusConfig, prime_file_blocks, run_census
 from psqr.errors import (
     BadPrimeFile,
     Overflow,
@@ -41,9 +35,10 @@ from psqr.psprimes import (
     integer_nth_root,
     is_prime,
     primes_up_to,
-    ps_primes_in,
 )
 from psqr.residues import jacobi_column
+
+from helpers import ps_primes_in, write_prime_file
 
 C1 = RationalExponent(1, 1)
 C11 = RationalExponent(11, 10)
@@ -108,12 +103,15 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
         report = run_census(config)
         assert report.to_json() == want[hi]
         assert started == workers and report.workers == (workers or [1])[0], hi
-    # a prime file's block count is unknown until it is read: the pool keeps threads
-    path = str(tmp_path / "primes.txt")
-    write_prime_file(path, primes_up_to(1000).tolist())
-    started.clear()
-    report = run_census(dataclasses.replace(base, lo=None, hi=None, prime_file=path))
-    assert report.to_json() == want[1000] and started == [8] == [report.workers]
+    # a prime file is read up to its second block: one block runs in process, and
+    # a pool for more keeps threads, as the file's block count is not yet known
+    for hi, workers in ((1000, []), (20_000, [8])):
+        path = str(tmp_path / f"{hi}.txt")
+        write_prime_file(path, primes_up_to(hi).tolist())
+        started.clear()
+        report = run_census(dataclasses.replace(base, lo=None, hi=None, prime_file=path))
+        assert report.to_json() == want[hi]
+        assert started == workers and report.workers == (workers or [1])[0], hi
 
 
 _N52 = integer_nth_root(1 << 520, 11)  # floors from ~2**52 at c = 11/10
@@ -202,19 +200,23 @@ def small_censuses(draw):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_censuses(), st.booleans(), st.integers(1, 1 << 12))
+@example(CensusConfig(elements=(2, 3), exponent=C11, lo=10**4, hi=11_000), True, 16)  # a pool
+@example(CensusConfig(elements=(2, 3), exponent=C11, lo=10**4, hi=11_000), True, 4096)  # in process
 def test_census_bytes_for_any_block_size_and_thread_count(config, from_file, block):
     # from_file: census a file of the window's PS primes instead of the window
     with tempfile.TemporaryDirectory() as tmp:
+        size = config.hi - config.lo  # n or file entries
         if from_file:
             path = os.path.join(tmp, "ps.txt")
-            rng = PsPrimeRange(config.exponent, config.lo, config.hi)
-            write_prime_file(path, (p for _, p in ps_primes_in(rng)))
+            primes = [p for _, p in ps_primes_in(PsPrimeRange(config.exponent, config.lo, config.hi))]
+            write_prime_file(path, primes)
+            size = len(primes)
             config = dataclasses.replace(config, prime_file=path, lo=None, hi=None)
         want = run_census(config).to_json()
         got = run_census(dataclasses.replace(config, block_size=block))
         assert got.to_json() == want and got.workers == 1
-        # every window of two blocks or more forks a pool of two; a file always does
-        workers = 2 if from_file else min(2, -(-(config.hi - config.lo) // block))
+        # every window or file of two blocks or more forks a pool of two
+        workers = 2 if size > block else 1
         started = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -538,21 +540,17 @@ def test_census_ps_exponent_pair_set():
 
 
 def test_convergence_table_shrinks():
-    cfg = CensusConfig(elements=(2, 3), exponent=C1)
-    rows = convergence_table(cfg, [10**4, 10**5, 10**6])
-    assert [r[0] for r in rows] == [10**4, 10**5, 10**6]
-    assert all(r[2] == 0.25 for r in rows)
-    assert abs(rows[-1][3]) < abs(rows[0][3])
-    assert abs(rows[-1][3]) < 0.01
-    with pytest.raises(PreconditionViolated):
-        convergence_table(cfg, [100, 100])
+    # one census per x: the all-residue fraction closes in on its density 1/4
+    reports = [run_census(CensusConfig(elements=(2, 3), exponent=C1, x=x)) for x in (10**4, 10**5, 10**6)]
+    assert all(r.predicted.qr_density == 0.25 for r in reports)
+    deviations = [abs(r.qr_fraction - 0.25) for r in reports]
+    assert deviations[-1] < deviations[0] and deviations[-1] < 0.01
 
 
 def test_convergence_table_ps_exponent():
-    cfg = CensusConfig(elements=(2, 8), exponent=C11)
-    rows = convergence_table(cfg, [10**5, 10**6])
-    assert all(r[2] == 0.5 for r in rows)
-    assert all(abs(r[1] - 0.5) < 0.02 for r in rows)
+    reports = [run_census(CensusConfig(elements=(2, 8), exponent=C11, x=x)) for x in (10**5, 10**6)]
+    assert all(r.predicted.qr_density == 0.5 for r in reports)
+    assert all(abs(r.qr_fraction - 0.5) < 0.02 for r in reports)
 
 
 # -- basis symbols against one Jacobi column per element ----------------------

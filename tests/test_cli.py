@@ -22,6 +22,8 @@ from psqr import census, expsums, kernels, predict, psprimes
 from psqr.cli import _parse_count, build_parser, main
 from psqr.errors import CheckFailed, PsqrError
 
+from helpers import write_prime_file
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -170,7 +172,7 @@ def test_census_source_all_is_c_one(capsys):
     assert "--source all" in err and "--c 3/2" in err
 
 
-@pytest.mark.parametrize("window", [["--range", "100,200"], ["--x", "1"]])
+@pytest.mark.parametrize("window", [["--range", "100,200"], ["--x", "1"], ["--source", "all"]])
 def test_census_prime_file_with_a_window_exit_2(tmp_path, capsys, window):
     path = tmp_path / "primes.txt"
     path.write_text("11\n13\n")
@@ -288,7 +290,7 @@ def test_prime_file_census_memory_does_not_grow_with_the_file(tmp_path, capsys):
     paths = []
     for count in (1 << 14, 1 << 16):
         paths.append(tmp_path / f"{count}.txt")
-        census.write_prime_file(str(paths[-1]), primes[:count])
+        write_prime_file(str(paths[-1]), primes[:count])
 
     def census_of(path):
         argv = ["census", "2,3", "--prime-file", str(path), "--block-size", "4096"]
@@ -324,7 +326,7 @@ def test_census_thread_cap_exit_4_before_any_process(capsys, monkeypatch):
     assert f"capped at {cap}" in err and "Traceback" not in err
 
 
-def test_census_light_window_runs_in_process(capsys, monkeypatch):
+def test_census_light_window_runs_in_process(capsys, monkeypatch, tmp_path):
     started = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -344,6 +346,12 @@ def test_census_light_window_runs_in_process(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *window, "--threads", "8")
     assert code == 0 and started == [3] and json.loads(err.splitlines()[-1])["workers"] == 3
     assert run_cli(capsys, *window, "--threads", "1")[1] == out
+    # a prime file of one block is counted in process at any thread count
+    started.clear()
+    path = tmp_path / "primes.txt"
+    write_prime_file(path, [11, 13, 17, 19, 23])
+    code, out, err = run_cli(capsys, "census", "2,3", "--prime-file", str(path), "--threads", "4")
+    assert code == 0 and started == [] and json.loads(err.splitlines()[-1])["workers"] == 1
 
 
 def _fresh_python(code: str, **env) -> str:
@@ -406,7 +414,7 @@ def test_census_failure_in_a_later_block_with_a_pool(tmp_path, capsys, monkeypat
     monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
     if source == "bad line":
         path = tmp_path / "primes.txt"
-        census.write_prime_file(str(path), [*psprimes.primes_up_to(10**4).tolist(), 10**4 + 1])
+        write_prime_file(str(path), [*psprimes.primes_up_to(10**4).tolist(), 10**4 + 1])
         window = ["--prime-file", str(path)]
     else:
         monkeypatch.setattr(census, "ps_prime_array", source)
@@ -523,6 +531,17 @@ def test_psprimes_examples(capsys):
     assert {2, 3, 7} <= listed
 
 
+@pytest.mark.parametrize("c, lo, hi", [("1", 1000, 2000), ("11/10", 1000, 1500), ("243/205", 50, 900)])
+def test_psprimes_output_across_blocks(capsys, monkeypatch, c, lo, hi):
+    # blocks of 97 n: each window spans six or more, written in order
+    monkeypatch.setattr("psqr.cli.BLOCK_SIZE", 97)
+    code, out, _ = run_cli(capsys, "psprimes", "--c", c, "--range", f"{lo},{hi}")
+    exponent = psprimes.RationalExponent.parse(c)
+    floors = (psprimes.floor_pow(n, exponent) for n in range(lo + 1, hi + 1))
+    want = "".join(f"{m}\n" for m in floors if psprimes.is_prime(m))
+    assert (code, out) == (0, f"# psqr psprimes c={c} range=({lo},{hi}]\n{want}")
+
+
 def test_expsum_vaughan_verdicts(capsys):
     code, out, _ = run_cli(capsys, "expsum", "vaughan", "--n", "97", "--u", "5", "--v", "5")
     assert code == 0
@@ -636,7 +655,7 @@ def test_threads_env_bad_value_exit_2_from_census_only(capsys, monkeypatch, valu
 
 # documented exit codes: usage errors 2, failed checks 3, resource limits 4
 _EXIT_CODES = {
-    "UsageError": 2, "EmptySet": 2, "DuplicateElement": 2, "BasisIncomplete": 2,
+    "UsageError": 2, "EmptySet": 2, "DuplicateElement": 2,
     "EvenModulus": 2, "NotPrime": 2, "BadPrimeFile": 2, "WindowTooSmall": 2,
     "PreconditionViolated": 2,
     "CheckFailed": 3,

@@ -1,24 +1,12 @@
-"""Factorization, exponent vectors, and square-subset families."""
+"""Factorization and square-subset families."""
 
 import math
 import random
 
 import pytest
 
-from psqr.errors import (
-    BasisIncomplete,
-    DuplicateElement,
-    EmptySet,
-    Overflow,
-    SetTooLarge,
-)
-from psqr.kernels import (
-    brute_force_family,
-    exponent_vector,
-    factorize,
-    is_square,
-    square_subset_family,
-)
+from psqr.errors import DuplicateElement, EmptySet, Overflow, SetTooLarge
+from psqr.kernels import brute_force_family, factorize, is_square, square_subset_family
 
 
 def test_factorize_examples():
@@ -49,23 +37,6 @@ def test_factorize_rejects_out_of_domain():
         factorize(0)
     with pytest.raises(Overflow):
         factorize(1 << 70)
-
-
-def test_exponent_vector_examples():
-    assert exponent_vector(8, [2]).bits == (1,)
-    assert exponent_vector(36, [2, 3]).bits == (0, 0)
-    assert exponent_vector(6, [2, 3, 5]).bits == (1, 1, 0)
-
-
-def test_exponent_vector_square_detection():
-    v = exponent_vector(49 * 36, [2, 3, 7])
-    assert v.is_square_vector
-    assert not exponent_vector(50, [2]).is_square_vector
-
-
-def test_exponent_vector_incomplete_basis():
-    with pytest.raises(BasisIncomplete):
-        exponent_vector(10, [2, 3])  # 5 has odd exponent
 
 
 def test_family_named_values():

@@ -24,8 +24,9 @@ from psqr.psprimes import (
     is_ps_prime,
     prime_flags,
     primes_up_to,
-    ps_primes_in,
 )
+
+from helpers import ps_primes_in
 
 
 def test_rational_exponent_parse_and_reduce():
