@@ -3,77 +3,62 @@
 Closed-form square-subset families and density predictions, exact [n^c]
 prime streams, empirical pattern censuses, and a numerical workbench for
 the sawtooth/Vaughan exponential-sum machinery.
+
+Importing psqr loads none of its modules: each exported name, and each
+module, is imported on first access (PEP 562), so a command pays only for
+the modules it runs.
 """
 
 __version__ = "0.1.0"
 
 import os
 import sys
+from importlib import import_module
 
 # psqr makes no BLAS call, but OpenBLAS starts a spinning thread per CPU as
 # numpy loads. A value already set wins; numpy loaded first is left alone.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .census import (
-    CensusConfig,
-    CensusReport,
-    prime_file_blocks,
-    run_census,
-)
-from .errors import (
-    BadPrimeFile,
-    CheckFailed,
-    DuplicateElement,
-    EmptySet,
-    EvenModulus,
-    NotPrime,
-    Overflow,
-    PreconditionViolated,
-    PsqrError,
-    ResourceLimit,
-    SetTooLarge,
-    UsageError,
-    WindowTooSmall,
-    XTooSmallWarning,
-)
-from .expsums import (
-    ExpSumReport,
-    L1,
-    L2,
-    TruncatedExpansion,
-    bilinear_check,
-    build_expansion,
-    cancellation_scan,
-    default_truncation,
-    majorant_check,
-    psi,
-    vaughan,
-)
-from .kernels import (
-    Factorization,
-    SquareSubsetFamily,
-    brute_force_family,
-    factorize,
-    is_square,
-    square_subset_family,
-)
-from .predict import (
-    Prediction,
-    THEOREM2_APPLIES,
-    UNDECIDED_SUM_MINUS_ONE,
-    nqr_density,
-    parity_analysis,
-    pattern_density,
-    qr_count_asymptotic,
-    qr_density,
-)
-from .psprimes import (
-    PsPrimeRange,
-    RationalExponent,
-    floor_pow,
-    integer_nth_root,
-    is_prime,
-    is_ps_prime,
-)
-from .residues import SignPattern, jacobi, legendre_euler, pattern_at
+_EXPORTS = {
+    "census": ("CensusConfig", "CensusReport", "prime_file_blocks", "run_census"),
+    "errors": (
+        "BadPrimeFile", "CheckFailed", "DuplicateElement", "EmptySet", "EvenModulus", "NotPrime",
+        "Overflow", "PreconditionViolated", "PsqrError", "ResourceLimit", "SetTooLarge",
+        "UsageError", "WindowTooSmall", "XTooSmallWarning",
+    ),
+    "expsums": (
+        "ExpSumReport", "L1", "L2", "TruncatedExpansion", "bilinear_check", "build_expansion",
+        "cancellation_scan", "default_truncation", "majorant_check", "psi", "vaughan",
+    ),
+    "kernels": (
+        "Factorization", "SquareSubsetFamily", "brute_force_family", "factorize", "is_square",
+        "square_subset_family",
+    ),
+    "predict": (
+        "Prediction", "THEOREM2_APPLIES", "UNDECIDED_SUM_MINUS_ONE", "nqr_density",
+        "parity_analysis", "pattern_density", "qr_count_asymptotic", "qr_density",
+    ),
+    "psprimes": (
+        "PsPrimeRange", "RationalExponent", "floor_pow", "integer_nth_root", "is_prime",
+        "is_ps_prime",
+    ),
+    "residues": ("SignPattern", "jacobi", "legendre_euler", "pattern_at"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the psi* sweep's thread count, before its
+    caps, and the run manifest's env.cpus."""
+    return len(os.sched_getaffinity(0))
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name in _EXPORTS or name == "cli":
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+

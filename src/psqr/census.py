@@ -309,10 +309,11 @@ def run_census(config: CensusConfig) -> CensusReport:
     if config.prime_file is not None:
         if (config.x, config.lo, config.hi) != (None, None, None):
             raise PreconditionViolated("a census reads a prime_file or a window, not both")
-        # a file's size is unknown until it is read: a pool only for two blocks or more
+        # a file's size is unknown until it is read: up to threads blocks are
+        # read ahead, and two or more fork a pool no wider than they are
         blocks = prime_file_blocks(config.prime_file, config.block_size)
-        head = list(itertools.islice(blocks, 2))
-        workers = config.threads if len(head) == 2 else 1
+        head = list(itertools.islice(blocks, config.threads))
+        workers = max(len(head), 1)
         blocks = itertools.chain(head, blocks)
     else:
         window = config.window()

@@ -7,7 +7,8 @@ run manifest (command, params, version, wall time, output checksum,
 environment, and a census's worker processes) goes to stderr, and with
 --out next to the report too. Its params are the options exactly as parsed,
 defaults included, less --out.
-A command that fails emits no manifest.
+A command that fails emits no manifest. A command loads only the psqr
+modules it runs, which main imports before it starts the run timer.
 
 Exit codes: 0 success, 2 usage or parse error or an unusable path (any
 OSError, such as a missing --prime-file or --out directory), 3 failed
@@ -34,19 +35,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__
-from .census import CensusConfig, run_census
+from . import __version__, usable_cpus
 from .errors import CheckFailed, Overflow, PreconditionViolated, ResourceLimit, UsageError
-from .expsums import (
-    bilinear_check,
-    cancellation_scan,
-    majorant_check,
-    usable_cpus,
-    vaughan,
-    von_mangoldt,
-)
-from .kernels import square_subset_family
-from .predict import parity_analysis, qr_count_asymptotic
 from .psprimes import BLOCK_SIZE, PsPrimeRange, RationalExponent, ps_prime_array
 
 
@@ -91,7 +81,7 @@ def _parse_gamma(text: str) -> float:
 def _params(args) -> dict:
     """The options as parsed, defaults included, less those that route the
     run or place its report, and the census's worker count."""
-    routing = ("func", "command", "subcommand", "out", "workers")
+    routing = ("func", "modules", "command", "subcommand", "out", "workers")
     return {k: v for k, v in vars(args).items() if k not in routing}
 
 
@@ -143,23 +133,24 @@ def _checked(doc: dict, passed: bool) -> tuple[list[str], bool]:
     return [_json(doc)], passed
 
 
-# -- commands: each takes the parsed options and returns (report chunks, passed)
+# -- commands: each takes the parsed options, then the psqr modules its parser
+# names (set_defaults modules), and returns (report chunks, passed)
 
-def cmd_family(args):
-    fam = square_subset_family(_parse_set(args.set))
+def cmd_family(args, kernels):
+    fam = kernels.square_subset_family(_parse_set(args.set))
     return [_json(fam.to_json_dict())], True
 
 
-def cmd_predict(args):
+def cmd_predict(args, predict):
     elements = _parse_set(args.set)
     c = RationalExponent.parse(args.c)
-    pred = parity_analysis(elements)
+    pred = predict.parity_analysis(elements)
     doc = pred.to_json_dict()
     doc["c"] = str(c)
     doc["theorem_backed"] = c.theorem_backed
     if args.x is not None:
         x = _parse_count(args.x)
-        main = qr_count_asymptotic(elements, c, x)
+        main = predict.qr_count_asymptotic(elements, c, x)
         scale = main / float(pred.qr_density) if pred.qr_density else 0.0
         doc["x"] = x
         doc["qr_count_main_term"] = main
@@ -167,7 +158,7 @@ def cmd_predict(args):
     return [_json(doc)], True
 
 
-def cmd_census(args):
+def cmd_census(args, census):
     elements = _parse_set(args.set)
     c = RationalExponent.parse(args.c)
     if args.source == "all" and c != RationalExponent(1, 1):
@@ -176,7 +167,7 @@ def cmd_census(args):
         raise PreconditionViolated("a census reads a prime_file or a window, not both")
     x = _parse_count(args.x) if args.x is not None else None
     lo, hi = _parse_range(args.range) if args.range is not None else (None, None)
-    config = CensusConfig(
+    config = census.CensusConfig(
         elements=elements,
         exponent=c,
         x=x,
@@ -186,7 +177,7 @@ def cmd_census(args):
         block_size=args.block_size,
         threads=args.threads,
     )
-    report = run_census(config)
+    report = census.run_census(config)
     args.workers = report.workers  # processes that counted: the manifest's, not a param
     return [report.to_csv() if args.csv else report.to_json()], True
 
@@ -201,32 +192,32 @@ def cmd_psprimes(args):
     return itertools.chain([header], ("".join(f"{p}\n" for p in ps) for ps in primes)), True
 
 
-def cmd_expsum_vaughan(args):
-    value = vaughan(args.n, args.u, args.v)
-    lam = von_mangoldt(args.n)
+def cmd_expsum_vaughan(args, expsums):
+    value = expsums.vaughan(args.n, args.u, args.v)
+    lam = expsums.von_mangoldt(args.n)
     err = abs(value - lam)
     doc = dict(_params(args), value=value, von_mangoldt=lam, abs_error=err)
     return _checked(doc, err < 1e-9 * (1.0 + abs(lam)))
 
 
-def cmd_expsum_psistar(args):
-    result = majorant_check(args.J, grid_points=args.grid)
+def cmd_expsum_psistar(args, expsums):
+    result = expsums.majorant_check(args.J, grid_points=args.grid)
     return _checked(result, result["passed"])
 
 
-def cmd_expsum_scan(args):
+def cmd_expsum_scan(args, expsums):
     gamma = _parse_gamma(args.gamma)
     if args.n_list:
         n_list = [_parse_count(tok) for tok in args.n_list.split(",")]
     else:
         n_list = [1 << k for k in range(12, 21)]
-    report = cancellation_scan(gamma, args.s, n_list, J=args.J)
+    report = expsums.cancellation_scan(gamma, args.s, n_list, J=args.J)
     return [_json(report.to_json_dict()) if args.json else report.to_csv()], True
 
 
-def cmd_expsum_bilinear(args):
+def cmd_expsum_bilinear(args, expsums):
     gamma = _parse_gamma(args.gamma)
-    lhs, rhs = bilinear_check(args.N, args.M, args.u, args.v, args.j, gamma, args.s)
+    lhs, rhs = expsums.bilinear_check(args.N, args.M, args.u, args.v, args.j, gamma, args.s)
     err = abs(lhs - rhs)
     doc = dict(_params(args), lhs_re=lhs.real, lhs_im=lhs.imag,
                rhs_re=rhs.real, rhs_im=rhs.imag, abs_error=err)
@@ -244,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="square-subset family of a set")
     p.add_argument("set", help="comma-separated positive integers, e.g. 2,3,6")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(func=cmd_family, modules=("kernels",))
 
     p = sub.add_parser("predict", help="closed-form density predictions")
     p.add_argument("set")
     p.add_argument("--c", default="1", help="exponent as an exact fraction, e.g. 11/10")
     p.add_argument("--x", help="window base for the main-term counts, e.g. 1e6")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, modules=("predict",))
 
     p = sub.add_parser("census", help="empirical sign-pattern census")
     p.add_argument("set")
@@ -266,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, default=BLOCK_SIZE)
     p.add_argument("--csv", action="store_true", help="CSV report instead of JSON")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_census)
+    p.set_defaults(func=cmd_census, modules=("census",))
 
     p = sub.add_parser("psprimes", help="write a Piatetski-Shapiro prime list")
     p.add_argument("--c", required=True)
     p.add_argument("--range", required=True, help="n-window lo,hi")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_psprimes)
+    p.set_defaults(func=cmd_psprimes, modules=())
 
     p = sub.add_parser("expsum", help="exponential-sum workbench")
     esub = p.add_subparsers(dest="subcommand", required=True)
@@ -282,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--u", type=float, required=True)
     q.add_argument("--v", type=float, required=True)
     q.add_argument("--out")
-    q.set_defaults(func=cmd_expsum_vaughan)
+    q.set_defaults(func=cmd_expsum_vaughan, modules=("expsums",))
 
     q = esub.add_parser("psistar", help="sawtooth majorant grid check")
     q.add_argument("--J", type=int, required=True)
     q.add_argument("--grid", type=int, default=100_000)
     q.add_argument("--out")
-    q.set_defaults(func=cmd_expsum_psistar)
+    q.set_defaults(func=cmd_expsum_psistar, modules=("expsums",))
 
     q = esub.add_parser("scan", help="cancellation ratios across dyadic ranges")
     q.add_argument("--gamma", required=True, help="fraction, e.g. 205/243")
@@ -297,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--J", type=int, help="fixed truncation (default N^(1-gamma) log N)")
     q.add_argument("--json", action="store_true", help="JSON report instead of CSV")
     q.add_argument("--out")
-    q.set_defaults(func=cmd_expsum_scan)
+    q.set_defaults(func=cmd_expsum_scan, modules=("expsums",))
 
     q = esub.add_parser("bilinear", help="Vaughan bilinear rearrangement check")
     q.add_argument("--N", type=int, required=True)
@@ -308,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--gamma", required=True)
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--out")
-    q.set_defaults(func=cmd_expsum_bilinear)
+    q.set_defaults(func=cmd_expsum_bilinear, modules=("expsums",))
 
     return parser
 
@@ -317,9 +308,11 @@ def main(argv=None) -> int:
     """Run one command: the only place a run is timed, emitted and given its
     exit code."""
     args = build_parser().parse_args(argv)
+    # only the command's own modules load, and before the run is timed
+    modules = [importlib.import_module(f".{name}", __package__) for name in args.modules]
     t0 = time.perf_counter()
     try:
-        chunks, passed = args.func(args)
+        chunks, passed = args.func(args, *modules)
         _emit(args, chunks, t0)
         return 0 if passed else 3
     except (ResourceLimit, MemoryError) as exc:

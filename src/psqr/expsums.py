@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import usable_cpus
 from .errors import Overflow, PreconditionViolated
 from .kernels import factorize
 from .psprimes import _segment_is_prime, primes_up_to
@@ -35,11 +34,6 @@ MAX_GRID_TERMS = 1 << 30   # grid points times J: the sines a majorant check eva
 CHUNK = 1 << 13
 MAX_PSI_STAR_THREADS = 32
 PAIR_SLICE = 1 << 13  # (m, n) pairs of a bilinear sum formed at once
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: the psi* sweep's thread count, before its caps."""
-    return len(os.sched_getaffinity(0))
 
 
 def psi(x: float) -> float:
@@ -82,6 +76,8 @@ class TruncatedExpansion:
         sweeps = [(w[c], acc[c], term[c]) for c in chunks]
         threads = min(usable_cpus(), MAX_PSI_STAR_THREADS, len(chunks))
         if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(threads) as pool:
                 list(pool.map(self._sweep, *zip(*sweeps)))  # re-raises a chunk's exception
         else:

@@ -42,16 +42,16 @@ _POW_BIT_BUDGET = 1 << 21     # cap on bits of n**num intermediates
 _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
 _SIEVE_SPAN = 1 << 8          # values of run width that cost the sieve one entry test (prime_flags)
-_WIDE = np.longdouble         # tried where float64 certifies no floor (ps_prime_array)
 # values prime_flags tests by batched Miller-Rabin (_mulmod's range); prime_flags
 # searches its uint64 values only with uint64 keys, which numpy compares
 # without first casting the whole array
 _MR_BATCH = np.array((38, 1 << 53), dtype=np.uint64)
 _MR_CHUNK = 1 << 14           # values per batched Miller-Rabin chunk, bounding its temporaries
-# fewest values left after trial division that a chunk tests as arrays: each
-# batched base costs 0.5-4 ms of numpy calls at any size, and is_prime ~12 us a
-# pow near 2**50, so they cross at ~100 primes or ~300 random survivors
-_MR_MIN_BATCH = 1 << 8
+# fewest values left after trial division that a chunk tests as arrays: the
+# batch costs 1.3-2.5 ms of numpy calls up to 128 survivors (two
+# _strong_probable_prime calls), and is_prime ~12 us a pow near 2**50, so they
+# cross at 64-128 random survivors (2-vCPU Xeon, numpy 2.4)
+_MR_MIN_BATCH = 1 << 7
 
 
 def is_prime(m: int) -> bool:
@@ -137,7 +137,8 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
        values, and its segment is its flags. A sparser run is tested entry
        by entry below.
     2. Entries in [38, 2**53): batched Miller-Rabin, _MR_CHUNK values at a
-       time (_miller_rabin), with the bases is_prime would use; a chunk
+       time (_miller_rabin), with the bases is_prime would use: base 2 in one
+       call, then the rest as (value, base) lanes, _MR_CHUNK a call; a chunk
        with fewer than _MR_MIN_BATCH values left after vectorised trial
        division hands them to is_prime, which is then faster. The float
        only guesses each modular product's quotient, and integer arithmetic
@@ -186,14 +187,15 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
 
 _MR_LIMIT_ARRAY = np.array(_MR_LIMITS, dtype=np.uint64)
 _MR_COUNT_ARRAY = np.array(_MR_COUNTS)
+_MR_BASE_ARRAY = np.array(_MR_BASES, dtype=np.uint64)
 
 
 def _miller_rabin(m: np.ndarray) -> np.ndarray:
     """is_prime over a uint64 array of values in [38, 2**53): trial division by
-    the 12 bases (each below every value), then each value's first _MR_COUNTS
-    bases, as is_prime runs them; each base runs only on the values no
-    earlier base has ruled out. Fewer than _MR_MIN_BATCH values left after
-    trial division go to is_prime one by one."""
+    the 12 bases (each below every value), base 2 over the survivors, then
+    every further base each survivor of base 2 needs (_MR_COUNTS, as is_prime
+    runs them) as (value, base) lanes, at most _MR_CHUNK a call. Fewer than
+    _MR_MIN_BATCH values left after trial division go to is_prime one by one."""
     prime = np.ones(m.size, dtype=bool)
     for p in _MR_BASES:
         prime &= m % np.uint64(p) != 0
@@ -201,17 +203,24 @@ def _miller_rabin(m: np.ndarray) -> np.ndarray:
     if live.size < _MR_MIN_BATCH:
         prime[live] = [is_prime(v) for v in m[live].tolist()]
         return prime
-    counts = _MR_COUNT_ARRAY[np.searchsorted(_MR_LIMIT_ARRAY, m, side="right")]
-    for k, a in enumerate(_MR_BASES):
-        live = np.flatnonzero(prime & (counts > k))
-        if not live.size:
-            break
-        prime[live] = _strong_probable_prime(m[live], a)
+    prime[live] = _strong_probable_prime(m[live], 2)
+    live = live[prime[live]]
+    # value i owns lanes ends[i] - need[i] .. ends[i] - 1, for bases 1 .. need[i]
+    need = _MR_COUNT_ARRAY[np.searchsorted(_MR_LIMIT_ARRAY, m[live], side="right")] - 1
+    ends = np.cumsum(need)
+    lanes = int(ends[-1]) if ends.size else 0
+    for k in range(0, lanes, _MR_CHUNK):
+        lane = np.arange(k, min(k + _MR_CHUNK, lanes))
+        owner = np.searchsorted(ends, lane, side="right")
+        base = _MR_BASE_ARRAY[lane - ends[owner] + need[owner] + 1]
+        owner = live[owner]
+        prime[owner[~_strong_probable_prime(m[owner], base)]] = False
     return prime
 
 
-def _strong_probable_prime(m: np.ndarray, a: int) -> np.ndarray:
-    """Whether each odd m in (a, 2**53) is a strong probable prime to base a."""
+def _strong_probable_prime(m: np.ndarray, a) -> np.ndarray:
+    """Whether each odd m in (a, 2**53) is a strong probable prime to base a:
+    one base for every lane, or a uint64 array of one base per lane."""
     one = np.uint64(1)
     m1 = m - one
     # m - 1 = d * 2**s; frexp reads s off the lowest set bit exactly
@@ -219,7 +228,7 @@ def _strong_probable_prime(m: np.ndarray, a: int) -> np.ndarray:
     d = m1 >> s.astype(np.uint64)
     mf = m.astype(np.float64)
     x = np.ones_like(m)
-    base = np.uint64(a)
+    base = np.asarray(a, dtype=np.uint64)
     for bit in range(int(d.max()).bit_length() - 1, -1, -1):
         x = _mulmod(x, x, m, mf)
         odd = (d >> np.uint64(bit)) & one != 0
@@ -391,36 +400,41 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
 
     At c = 1 the floors are n itself, so the block is the primes in (lo, hi]:
     every plain-prime window (a census of all primes, psprimes --c 1) is a
-    c = 1 block. Otherwise _certified_floors takes float floors for the whole
-    block, and exact integer roots only for the n whose float power lies
-    within a guard band of an integer. With c = a/b and u = eps/2 the float
-    type's unit roundoff, the band is derived from the error of
-    f = fl(n) pow(fl(n), fl((a - b)/b)) against y = n**c; here 1 <= n < 2**64,
-    since n <= floor(n**c) < PRIME_BUDGET, and 1 < c < 2.
+    c = 1 block. Otherwise _certified_floors anchors the block at n0 = lo + 1
+    with one exact root, K = floor(n0**c 2**52) = integer_nth_root(n0**a <<
+    52 b, b) for c = a/b: floor(n0**c) = K >> 52, and the fraction of n0**c
+    lies in [r0, r0 + 2**-52) for r0 = (K mod 2**52) / 2**52, exact in
+    float64. Each n = n0 + k then takes, in float64, v = r0 +
+    fl(K/2**52) expm1(c log1p(k/n0)), an estimate of y = n**c - floor(n0**c)
+    = (n0**c - floor(n0**c)) + M with M = n0**c expm1(c log1p(k/n0)), and
+    only an n whose v lies within a guard band of an integer takes an exact
+    root. With u = 2**-53, and A = 2**11 u (2**10 ulp) for each of log1p and
+    expm1, which numpy may dispatch to SIMD code within a few ulp:
 
-    1. (a - b)/b: its float is e(1 + d), |d| <= u, and (c - 1) ln n amplifies d
-       to at most 44.4 (c - 1) u: c/(c - 1) less than in pow(fl(n), fl(a/b)).
-    2. n: fl(n) is exact with a 64-bit significand; else n0 and n0 + i are
-       rounded, within 2u, so < 4u in y.
-    3. pow: numpy may dispatch float64 to a SIMD pow within a few ulp; allow
-       2**10 ulp, 2**11 u. Long double calls libm's powl, within 1 ulp in
-       glibc; allow 2**2 ulp, 2**3 u.
-    4. the product: u.
-    Their sum B < 2**-30, so |f - y| < B (1 + 2**-20) y covers every
-    higher-order term. With mf = floor(f) >= 1, f < mf + 1 <= 2 mf, so
-    |f - y| < g = mf * _guard(dtype, c), the next power of two above
-    2 B (1 + 2**-20), which keeps g exact: 2**-40 in float64 at every c, and
-    in x86's 80-bit long double 2**-59 at c = 11/10 and 2**-58 at 243/205.
-    5. floor(f) is exact, and so is f - floor(f): it lies on f's ulp grid and
-       floor(f) >= f/2 (Sterbenz). 1 - r is exact for r >= 1/2, so
-       d = min(r, 1 - r) is f's exact distance to the nearest integer.
-    If d > g, the interval (f - g, f + g) holds y and no integer, so
-    floor(y) = mf. Otherwise integer_nth_root certifies the floor from mf,
-    with m**b <= n**a < (m+1)**b. As d <= 1/2, every n with mf * _guard >= 1/2
-    falls in the band: from floors of 2**39 in float64. A block whose top
-    floor reaches that takes long double (_WIDE) instead, if it has a 64-bit
-    significand and certifies the block's first floor; otherwise the float64
-    floor only seeds the exact root.
+    1. k/n0: fl(n0) (rounded from 2**53) and the quotient are within 3u, and
+       log1p passes its argument's relative error on at most 1:1; with
+       log1p's A, fl(c) and the product, x = c log1p(k/n0) is within A + 5u.
+    2. expm1 turns a relative error r in x >= 0 into at most (1 + x) r, and
+       adds its A. x grows with k, so X = c log1p((hi - n0)/n0) bounds it.
+    3. fl(K/2**52) is within u + 2**-52 <= 3u of n0**c >= 1, and the product
+       is rounded once, so the increment is P = M (1 + e) with |e| <= R =
+       (1 + X)(A + 5u) + A + 4u; R < 2**-30 for any block of n < 2**64.
+    4. v = fl(r0 + P) is rounded once, within u (1 + P), and r0 is within 2u
+       of the true fraction, so |v - y| <= (R + 2u)(1 + M). With mf =
+       floor(v) >= M (1 - R) - 1, 1 + M <= (mf + 2)(1 + 2**-29), and
+       |v - y| < g = fl(mf + 2) _guard(X), the next power of two above
+       (R + 2u)(1 + 2**-20), which keeps g exact: 2**-40 in blocks whose
+       X is small, 2**-38 in a block of 2**16 n from n0 = 1.
+    5. floor(v) is exact, and so is r = v - floor(v): it lies on v's ulp
+       grid, and floor(v) is 0 or at least v/2 (Sterbenz). 1 - r is exact
+       for r >= 1/2, so d = min(r, 1 - r) is v's exact distance to the
+       nearest integer.
+    If d > g, the interval (v - g, v + g) holds y and no integer, so
+    floor(n**c) = floor(n0**c) + mf. Otherwise integer_nth_root certifies the
+    floor from that seed, with m**b <= n**a < (m+1)**b. As d <= 1/2, g
+    certifies while a block's floors rise by less than about 2**38: 2**16 n
+    at c = 11/10 rise by ~2**21 near floors of 2**52. The pass is float64
+    alone, so every platform certifies the same floors.
 
     The floors strictly ascend, and prime_flags decides their primality: a
     block of dense floors below _SIEVE_VALUE_CAP is one segment-sieve lookup
@@ -431,48 +445,50 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
     if c.num == c.den:
         floors = np.arange(n0, hi + 1, dtype=np.uint64)
     else:
-        first, top = float(n0) ** float(c.value), float(hi) ** float(c.value)
-        wide = (np.finfo(_WIDE).nmant >= 63 and top * _guard(np.float64, c) >= 0.5
-                and first * _guard(_WIDE, c) < 0.5)
-        floors = _certified_floors(c, n0, hi, _WIDE if wide else np.float64)
+        floors = _certified_floors(c, n0, hi)
 
     keep = np.flatnonzero(prime_flags(floors))
     return keep.astype(np.uint64) + np.uint64(n0), floors[keep]
 
 
-def _guard(dtype, c: RationalExponent) -> float:
-    """The band's relative half-width in the float type dtype at exponent c
-    (ps_prime_array)."""
-    u = float(np.finfo(dtype).eps) / 2
-    pow_ulps = 1 << 10 if np.dtype(dtype) == np.float64 else 1 << 2
-    n_err = 0.0 if np.finfo(dtype).nmant >= 63 else 4 * u
-    bound = 44.4 * (c.num - c.den) / c.den * u + n_err + 2 * pow_ulps * u + u
-    return 2.0 ** math.ceil(math.log2(2 * bound * (1 + 2**-20)))
+def _guard(x: float) -> float:
+    """The band's half-width per unit of mf + 2 in a block whose largest
+    c log1p(k/n0) is x (ps_prime_array)."""
+    u = 2.0**-53
+    libm = 2.0**11 * u  # 2**10 ulp
+    bound = (1 + x) * (libm + 5 * u) + libm + 6 * u
+    return 2.0 ** math.ceil(math.log2(bound * (1 + 2**-20)))
 
 
-def _certified_floors(c: RationalExponent, n0: int, hi: int, dtype) -> np.ndarray:
-    """floor(n**c) for n0 <= n <= hi, c > 1, as a uint64 array: floors in the
-    float type dtype, and exact roots for the n in its guard band."""
+def _certified_floors(c: RationalExponent, n0: int, hi: int) -> np.ndarray:
+    """floor(n**c) for n0 <= n <= hi, c > 1, as a uint64 array: float64
+    increments on one exact anchor at n0, and exact roots for the n in their
+    guard band."""
     a, b = c.num, c.den
-    n = np.arange(hi - n0 + 1, dtype=dtype)
-    n += dtype(n0)
-    f = np.power(n, dtype(a - b) / dtype(b))
-    f *= n
-    del n
-    mf = np.floor(f)
-    np.subtract(f, mf, out=f)
-    np.minimum(f, 1.0 - f, out=f)
-    band = f <= mf * _guard(dtype, c)
-    del f
-    # a float floor may round up to 2**64; clamped ones lie in the band
-    floors = np.minimum(mf, np.nextafter(dtype(2.0**64), dtype(0)), out=mf).astype(np.uint64)
-    del mf
+    anchor = integer_nth_root(n0**a << 52 * b, b)
+    base = anchor >> 52
+    v = np.arange(hi - n0 + 1, dtype=np.float64)
+    v /= float(n0)
+    np.log1p(v, out=v)
+    v *= a / b
+    np.expm1(v, out=v)
+    v *= anchor / 2**52
+    v += (anchor & ((1 << 52) - 1)) / 2**52
+    mf = np.floor(v)
+    v -= mf
+    g = np.subtract(1.0, v)  # one scratch array: 1 - r, then the guard
+    np.minimum(v, g, out=v)
+    np.add(mf, 2.0, out=g)
+    g *= _guard(a / b * math.log1p((hi - n0) / n0))
+    band = v <= g
+    del v, g
+    floors = mf.astype(np.uint64)
+    floors += np.uint64(base)
     # a cheap check that libm keeps within the allowance above
-    for i, n in ((0, n0), (-1, hi)):
-        if not band[i] and int(floors[i]) != (exact := floor_pow(n, c)):
-            raise CheckFailed(
-                f"float pow gives floor {int(floors[i])} where the exact floor is {exact}"
-            )
+    m = int(floors[-1])
+    if not band[-1] and not m**b <= hi**a < (m + 1) ** b:
+        raise CheckFailed(f"float64 gives floor {m} where the exact floor is {floor_pow(hi, c)}")
+    # seeds from the float floors, which near 2**64 may pass the uint64 range
     for i in np.flatnonzero(band).tolist():
-        floors[i] = integer_nth_root((n0 + i) ** a, b, int(floors[i]))
+        floors[i] = integer_nth_root((n0 + i) ** a, b, base + int(mf[i]))
     return floors

@@ -103,9 +103,9 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
         report = run_census(config)
         assert report.to_json() == want[hi]
         assert started == workers and report.workers == (workers or [1])[0], hi
-    # a prime file is read up to its second block: one block runs in process, and
-    # a pool for more keeps threads, as the file's block count is not yet known
-    for hi, workers in ((1000, []), (20_000, [8])):
+    # a prime file is read up to threads blocks ahead: one block runs in process,
+    # and more fork a pool no wider than the blocks read
+    for hi, workers in ((1000, []), (20_000, [3])):
         path = str(tmp_path / f"{hi}.txt")
         write_prime_file(path, primes_up_to(hi).tolist())
         started.clear()

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -373,6 +374,63 @@ def test_import_cli_leaves_multiprocessing_out():
     assert _fresh_python(code) == "False"
 
 
+def _modules_after(argv, out) -> tuple[list[str], dict]:
+    """The psqr and concurrent modules a fresh interpreter holds after main(argv),
+    whose report goes to out, and the run manifest."""
+    code = (f"import json, sys; from psqr.cli import main; main({[*argv, '--out', str(out)]!r}); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('psqr', 'concurrent')))))")
+    loaded = json.loads(_fresh_python(code))
+    with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+        return loaded, json.load(fh)
+
+
+def test_psprimes_run_loads_only_its_modules(tmp_path):
+    loaded, _ = _modules_after(["psprimes", "--c", "11/10", "--range", "1,1000"], tmp_path / "p.txt")
+    assert loaded == ["psqr", "psqr.cli", "psqr.errors", "psqr.psprimes"]
+
+
+def test_census_run_loads_no_expsums(tmp_path):
+    loaded, manifest = _modules_after(["census", "2,3", "--range", "1e3,2e3"], tmp_path / "c.json")
+    assert "psqr.census" in loaded and "psqr.expsums" not in loaded
+    assert manifest["env"]["cpus"] == len(os.sched_getaffinity(0))
+
+
+def test_import_psqr_loads_no_module_of_its_own():
+    code = "import sys, psqr; print(sorted(m for m in sys.modules if m.startswith('psqr')))"
+    assert _fresh_python(code) == "['psqr']"
+
+
+# the names psqr exported when it imported every module eagerly
+_EXPORTS = {
+    "census": "CensusConfig CensusReport prime_file_blocks run_census",
+    "errors": "BadPrimeFile CheckFailed DuplicateElement EmptySet EvenModulus NotPrime Overflow "
+              "PreconditionViolated PsqrError ResourceLimit SetTooLarge UsageError "
+              "WindowTooSmall XTooSmallWarning",
+    "expsums": "ExpSumReport L1 L2 TruncatedExpansion bilinear_check build_expansion "
+               "cancellation_scan default_truncation majorant_check psi vaughan",
+    "kernels": "Factorization SquareSubsetFamily brute_force_family factorize is_square "
+               "square_subset_family",
+    "predict": "Prediction THEOREM2_APPLIES UNDECIDED_SUM_MINUS_ONE nqr_density parity_analysis "
+               "pattern_density qr_count_asymptotic qr_density",
+    "psprimes": "PsPrimeRange RationalExponent floor_pow integer_nth_root is_prime is_ps_prime",
+    "residues": "SignPattern jacobi legendre_euler pattern_at",
+}
+
+
+def test_lazy_exports_are_the_eager_ones():
+    names = set()
+    for module, exported in _EXPORTS.items():
+        for name in exported.split():
+            assert getattr(psqr, name) is getattr(importlib.import_module(f"psqr.{module}"), name)
+            names.add(name)
+        assert getattr(psqr, module) is sys.modules[f"psqr.{module}"]
+    star = {}
+    exec("from psqr import *", star)
+    assert set(star) - {"__builtins__"} == names == set(psqr.__all__)
+    with pytest.raises(AttributeError):
+        psqr.no_such_name
+
+
 @pytest.mark.parametrize("first, preset, want", [
     ("", None, "1"), ("", "3", "3"), ("import numpy; ", None, "None"),
 ], ids=["unset", "preset", "numpy-first"])
@@ -662,7 +720,7 @@ _EXIT_CODES = {
     "ResourceLimit": 4, "SetTooLarge": 4, "Overflow": 4,
 }
 _EXPORTED_ERRORS = sorted(
-    (v for v in vars(psqr).values()
+    (v for v in map(psqr.__getattr__, psqr.__all__)
      if isinstance(v, type) and issubclass(v, PsqrError) and v is not PsqrError),
     key=lambda cls: cls.__name__,
 )
@@ -677,7 +735,7 @@ def test_error_class_exit_code(capsys, monkeypatch, exc):
     def fail(elements):
         raise exc("forced")
 
-    monkeypatch.setattr("psqr.cli.square_subset_family", fail)
+    monkeypatch.setattr("psqr.kernels.square_subset_family", fail)
     code, out, err = run_cli(capsys, "family", "2,3")
     assert code == _EXIT_CODES[exc.__name__]
     assert out == ""

@@ -1,5 +1,7 @@
 """Exact floors, primality, and PS prime streams."""
 
+import bisect
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -332,8 +334,8 @@ _differential = settings(max_examples=100, deadline=None, suppress_health_check=
 @example((RationalExponent(11, 10), 610_000, 610_100, 64))
 @example((RationalExponent(243, 205), 66_000, 66_060, 25))
 @example((RationalExponent(1, 1), (1 << 63) - 20, (1 << 63) + 20, 7))
-# windows ending at the budget: floors next to 2**64, whose float powers may
-# round up to 2**64 before the clamp and the uint64 cast
+# windows ending at the budget: floors next to 2**64, whose float floors may
+# pass the uint64 range
 @example((RationalExponent(1, 1), _n_max(RationalExponent(1, 1)) - 30, _n_max(RationalExponent(1, 1)), 11))
 @example((RationalExponent(255, 254), _n_max(RationalExponent(255, 254)) - 30,
           _n_max(RationalExponent(255, 254)), 11))
@@ -400,37 +402,40 @@ def test_c1_stream_tests_primality_without_sieving_past_the_caps(monkeypatch):
     assert got == [(n, n) for n in range(lo + 1, lo + 201) if is_prime(n)]
 
 
-# -- float floors in both precisions against floor_pow ---------------------------
+# -- anchored float64 floors against floor_pow -----------------------------------
 
-# at 255/254, n passes 2**53 while long double still certifies (floors of
-# 2**55): only a 64-bit significand holds such n exactly
+# at 255/254, n passes 2**53, where fl(n0) is rounded; at 255/128 floors near
+# 2**64 rise by ~2**38 over 40 n, past what the band certifies
 _FLOAT_CS = tuple(RationalExponent.parse(t) for t in ("11/10", "243/205", "3/2", "255/128", "255/254"))
-_WIDE_OK = np.finfo(np.longdouble).nmant >= 63
-_needs_wide = pytest.mark.skipif(not _WIDE_OK, reason="long double is no wider than float64 here")
 
 
-class _PowOffByOne:
-    """numpy, except that power lands one above the true value."""
+class _Expm1OneAbove:
+    """numpy, except that expm1 lands one above the true value."""
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     @staticmethod
-    def power(x, y, out=None):
-        return np.add(np.power(x, y, out=out), 1.0, out=out)
+    def expm1(x, out=None):
+        return np.add(np.expm1(x, out=out), 1.0, out=out)
 
 
-def test_ps_block_rejects_a_pow_outside_its_allowance(monkeypatch):
-    floors = mock.Mock(wraps=psprimes._certified_floors)
-    monkeypatch.setattr(psprimes, "_certified_floors", floors)
-    monkeypatch.setattr(psprimes, "np", _PowOffByOne())
-    cases = [(610_000, np.float64)]
-    if _WIDE_OK:  # floors near 2**52 take long double where it is wider than float64
-        cases.append((200_000_000_000_000, np.longdouble))
-    for lo, dtype in cases:
+def test_ps_block_rejects_an_expm1_outside_its_allowance(monkeypatch):
+    # the increment is then off by n0**c: far outside the band, so the end floor is wrong
+    monkeypatch.setattr(psprimes, "np", _Expm1OneAbove())
+    for c, lo in ((RationalExponent(11, 10), 610_000), (RationalExponent(243, 205), 66_000)):
         with pytest.raises(CheckFailed):
-            list(ps_primes_in(PsPrimeRange(RationalExponent(11, 10), lo, lo + 10_000)))
-        assert floors.call_args.args[3] is dtype
+            list(ps_primes_in(PsPrimeRange(c, lo, lo + 10_000)))
+
+
+def test_ingest_window_takes_no_exact_root_past_its_anchors():
+    # the bench's seed-1 psprimes window above 2**52: two blocks, so two anchors
+    # and PsPrimeRange's check of hi
+    lo, hi = 200_767_021_338_695, 200_767_021_458_695
+    with mock.patch.object(psprimes, "integer_nth_root", wraps=psprimes.integer_nth_root) as roots:
+        got = list(ps_primes_in(PsPrimeRange(RationalExponent(11, 10), lo, hi)))
+    assert roots.call_count <= 4
+    assert len(got) == 3_275 and got[0] == (200_767_021_338_718, 5_407_065_284_382_481)
 
 
 def _block_around(c, value, before, after):
@@ -441,8 +446,8 @@ def _block_around(c, value, before, after):
     return max(0, min(n - 1 - before, hi - 1)), hi
 
 
-def _float_floors(c, lo, hi, dtype):
-    floors = psprimes._certified_floors(c, lo + 1, hi, dtype)
+def _float_floors(c, lo, hi):
+    floors = psprimes._certified_floors(c, lo + 1, hi)
     assert floors.dtype == np.uint64
     return floors.tolist()
 
@@ -456,45 +461,89 @@ def float_blocks(draw):
 
 
 @_differential
-@given(float_blocks(), st.sampled_from((np.float64, np.longdouble)))
-def test_float_floors_match_floor_pow(block, dtype):
-    # either float type at any size: the band sends what it cannot certify to the exact root
+@given(float_blocks())
+def test_float_floors_match_floor_pow(block):
+    # at any size: the band sends what float64 cannot certify to the exact root
     c, lo, hi = block
-    assert _float_floors(c, lo, hi, dtype) == [floor_pow(n, c) for n in range(lo + 1, hi + 1)]
+    assert _float_floors(c, lo, hi) == [floor_pow(n, c) for n in range(lo + 1, hi + 1)]
 
 
-# float64 certifies nothing from 2**39; long double still certifies at 2**55 for
-# every exponent tested, and nothing next to 2**64
+@st.composite
+def anchored_blocks(draw):
+    """(c, n0, size, the offsets to check): blocks of 1..2**16 n from n0 = 1 or
+    around an exact b-th power, whose floor has no fraction."""
+    c = draw(st.sampled_from(_FLOAT_CS))
+    size = draw(st.integers(0, 16).flatmap(lambda k: st.integers(1 << k >> 1 or 1, 1 << k)))
+    top = _n_max(c) - size + 1
+    if draw(st.booleans()):
+        n0 = 1
+    else:
+        power = draw(st.integers(1, integer_nth_root(top, c.den))) ** c.den
+        n0 = max(1, min(power - draw(st.integers(0, size)), top))
+    # both ends, every exact b-th power, and some offsets anywhere: floor_pow
+    # over all 2**16 would take seconds an example
+    powers = range(integer_nth_root(n0 - 1, c.den) + 1, integer_nth_root(n0 + size - 1, c.den) + 1)
+    ks = {*range(min(size, 200)), *range(max(size - 200, 0), size), *(t**c.den - n0 for t in powers)}
+    ks.update(draw(st.lists(st.integers(0, size - 1), max_size=200)))
+    return c, n0, size, sorted(ks)
+
+
+@_differential
+@given(anchored_blocks())
+@example((RationalExponent(11, 10), 1, 1 << 16, [0, 1023, 59048, (1 << 16) - 1]))
+@example((RationalExponent(243, 205), 1, 1 << 16, [0, (1 << 16) - 1]))
+def test_anchored_floors_match_floor_pow(case):
+    c, n0, size, ks = case
+    floors = psprimes._certified_floors(c, n0, n0 + size - 1)
+    assert floors.size == size and (floors[1:] > floors[:-1]).all()
+    assert [int(floors[k]) for k in ks] == [floor_pow(n0 + k, c) for k in ks]
+
+
+# where a float floor's precision runs out: a float64 power from 2**39, n
+# itself from 2**53, an 80-bit long double near 2**56, the budget at 2**64;
+# the anchored pass certifies at each, and next to 2**64 at every c but 255/128
 _PRECISION_EDGES = (1 << 39, 1 << 53, 1 << 55, PRIME_BUDGET - 1)
+
+
+class _NumpyWithLongDouble:
+    """numpy on a platform whose long double is the given type."""
+
+    def __init__(self, longdouble):
+        self.longdouble = longdouble
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 @pytest.mark.parametrize("value", _PRECISION_EDGES, ids=("2^39", "2^53", "2^55", "2^64-1"))
 @pytest.mark.parametrize("c", _FLOAT_CS, ids=str)
 @pytest.mark.parametrize("wide", (np.longdouble, np.float64), ids=("longdouble", "no-wider"))
 def test_ps_block_floats_at_the_precision_edges(monkeypatch, value, c, wide):
-    # _WIDE = float64 stands for a platform whose long double is no wider than float64
-    monkeypatch.setattr(psprimes, "_WIDE", wide)
-    floors = mock.Mock(wraps=psprimes._certified_floors)
-    monkeypatch.setattr(psprimes, "_certified_floors", floors)
+    # certification reads no platform type: with long double as this platform
+    # has it or as float64 (MSVC), the same n take the same exact roots
     lo, hi = _block_around(c, value, 40, 40)
-    ns, got = psprimes.ps_prime_array(c, lo, hi)
-    assert list(zip(ns.tolist(), got.tolist())) == _oracle(c, lo, hi)
-    # the wide float certifies nothing next to 2**64, so float64 seeds the roots there
-    wide_used = wide is np.longdouble and _WIDE_OK and value < PRIME_BUDGET - 1
-    assert floors.call_args.args[3] is (np.longdouble if wide_used else np.float64)
-    for dtype in (np.float64, np.longdouble):
-        assert _float_floors(c, lo, hi, dtype) == [floor_pow(n, c) for n in range(lo + 1, hi + 1)]
+    calls = []
+    for numpy in (np, _NumpyWithLongDouble(wide)):
+        monkeypatch.setattr(psprimes, "np", numpy)
+        with mock.patch.object(psprimes, "integer_nth_root", wraps=psprimes.integer_nth_root) as roots:
+            ns, got = psprimes.ps_prime_array(c, lo, hi)
+        assert list(zip(ns.tolist(), got.tolist())) == _oracle(c, lo, hi)
+        calls.append(roots.call_args_list)
+    assert calls[0] == calls[1]
+    # one anchor, and exact roots for under half of the block
+    assert len(calls[0]) - 1 < (hi - lo) / 2
+    assert _float_floors(c, lo, hi) == [floor_pow(n, c) for n in range(lo + 1, hi + 1)]
 
 
-@_needs_wide
 def test_guards_as_derived():
-    # float64 keeps 2**-40 at every c; long double's shrinks with c - 1
-    assert {psprimes._guard(np.float64, c) for c in _FLOAT_CS} == {2.0**-40}
-    assert psprimes._guard(np.longdouble, RationalExponent(11, 10)) == 2.0**-59
-    assert psprimes._guard(np.longdouble, RationalExponent(243, 205)) == 2.0**-58
-    # so long double certifies floors up to 2**56 at each exponent tested
-    for c in _FLOAT_CS:
-        assert psprimes._guard(np.longdouble, c) <= 2.0**-57
+    # 2**-40 where c log1p(k/n0) is small; wider from n0 = 1
+    assert psprimes._guard(0.0) == psprimes._guard(1e-6) == 2.0**-40
+    assert psprimes._guard(1.1 * math.log1p(65535)) == 2.0**-38
+    assert psprimes._guard(2 * math.log(2.0**64)) == 2.0**-35
+    # a block takes the guard of its largest c log1p(k/n0)
+    with mock.patch.object(psprimes, "_guard", wraps=psprimes._guard) as guard:
+        psprimes._certified_floors(RationalExponent(11, 10), 1, 1 << 16)
+    assert guard.call_args.args == (1.1 * math.log1p(65535),)
 
 
 # -- batched primality against is_prime ----------------------------------------
@@ -551,6 +600,44 @@ def test_prime_flags_refutes_every_strong_pseudoprime_bound(monkeypatch):
     limits = [v for v in psprimes._MR_LIMITS if v < 1 << 53]
     assert len(limits) == 7
     assert not prime_flags(_u64(limits)).any()
+
+
+_PSI_7 = psprimes._MR_LIMITS[6]  # 341,550,071,728,321: strong pseudoprime to bases 2 through 19
+
+
+def test_prime_flags_stacks_the_bases_each_value_needs(monkeypatch):
+    # ~360 primes around psi_7 keep their chunk batched at the default _MR_MIN_BATCH
+    primes = [p for p in range(_PSI_7 - 6_000, _PSI_7 + 6_000) if is_prime(p)]
+    assert len(primes) >= 300
+    values = _u64(primes + [_PSI_7] + list(_CARMICHAEL))
+    spp, lanes = psprimes._strong_probable_prime, []
+
+    def recording(m, a):
+        ok = spp(m, a)
+        lanes.extend(zip(m.tolist(), np.broadcast_to(a, m.shape).tolist(), ok.tolist()))
+        return ok
+
+    monkeypatch.setattr(psprimes, "_strong_probable_prime", recording)
+    assert prime_flags(values).tolist() == [is_prime(v) for v in values.tolist()]
+    # trial division alone, base 2 alone, or every base is_prime uses, primes always
+    for v in values.tolist():
+        bases = [a for m, a, _ in lanes if m == v]
+        need = list(psprimes._MR_BASES[: psprimes._MR_COUNTS[bisect.bisect_right(psprimes._MR_LIMITS, v)]])
+        assert bases in ([], need[:1], need) and (bases == need or not is_prime(v))
+    psi = [(a, ok) for m, a, ok in lanes if m == _PSI_7]
+    assert psi == [(a, a != 23) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(19, (1 << 52) - 1), min_size=1, max_size=40))
+@example([(v - 1) // 2 for v in psprimes._MR_LIMITS if v < 1 << 53])
+@example([(v - 1) // 2 for v in _CARMICHAEL])
+def test_strong_probable_prime_per_lane_bases(halves):
+    m = np.array([2 * h + 1 for h in halves], dtype=np.uint64)  # odd, in (37, 2**53)
+    bases = np.array(psprimes._MR_BASES, dtype=np.uint64)
+    stacked = psprimes._strong_probable_prime(np.repeat(m, bases.size), np.tile(bases, m.size))
+    per_base = [psprimes._strong_probable_prime(m, a) for a in psprimes._MR_BASES]
+    assert stacked.tolist() == np.stack(per_base, axis=1).ravel().tolist()
 
 
 def test_prime_flags_needs_ascending_values():
