@@ -1,6 +1,7 @@
 """Exact floors, primality, and PS prime streams."""
 
 import bisect
+import decimal
 import math
 import random
 import tracemalloc
@@ -544,6 +545,27 @@ def test_guards_as_derived():
     with mock.patch.object(psprimes, "_guard", wraps=psprimes._guard) as guard:
         psprimes._certified_floors(RationalExponent(11, 10), 1, 1 << 16)
     assert guard.call_args.args == (1.1 * math.log1p(65535),)
+
+
+def _ulps(got: float, exact: decimal.Decimal) -> float:
+    return float(abs(decimal.Decimal(got) - exact) / decimal.Decimal(math.ulp(float(exact))))
+
+
+@pytest.mark.parametrize("name,top", [("log1p", 65536.0), ("expm1", 22.2)])
+def test_libm_within_the_guards_allowance(name, top):
+    # _guard budgets 2**10 ulp for each; 2**4 is far inside that and far above
+    # the ~0.5 ulp of a well-rounded libm.
+    # The tops are the widest a 2**16 block uses: k/n0 from n0 = 1, and
+    # c log1p(k/n0) with c < 2. Array calls, so numpy's SIMD loops.
+    rng = np.random.default_rng(14)
+    x = np.concatenate([2.0 ** rng.uniform(-52, math.log2(top), 2048), top * rng.uniform(0, 1, 2048)])
+    x = x[x > 0]
+    got = getattr(np, name)(x)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exact = [(1 + decimal.Decimal(v)).ln() if name == "log1p" else decimal.Decimal(v).exp() - 1
+                 for v in x.tolist()]
+        worst = max(_ulps(g, e) for g, e in zip(got.tolist(), exact))
+    assert len(x) == 4096 and worst <= 2**4, f"np.{name} is off by {worst:.2f} ulp"
 
 
 # -- batched primality against is_prime ----------------------------------------
