@@ -45,9 +45,6 @@ except ImportError:
         from _sha256 import sha256 as _builtin_sha256  # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256 as _builtin_sha256
-# Output bytes the built-in digests: at ~6-7.6 ns/byte against hashlib's ~1.0 (SHA-NI)
-# plus its ~3.4 ms, 3.3 MB libcrypto import, the two break even near 2^19 bytes.
-_BUILTIN_SHA256_BYTES = 1 << 19
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -95,44 +92,24 @@ def _params(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in routing}
 
 
-def _sha256(pieces: Iterable[bytes], size: int):
-    """SHA-256 of pieces of size bytes in all: hashlib's only past _BUILTIN_SHA256_BYTES."""
-    digest = (importlib.import_module("hashlib").sha256() if size > _BUILTIN_SHA256_BYTES
-              else _builtin_sha256())
-    for piece in pieces:
-        digest.update(piece)
-    return digest
-
-
 def _emit(args, chunks: Iterable[str], t0: float) -> None:
-    """Write the report, each chunk as it comes, then its run manifest, the
-    reproducibility record, whose params are the options as parsed. With --out,
-    the chunks go to a sibling temporary file that replaces it only once the
-    last is written, read back for the checksum; stdout holds its chunks for it
-    until they pass _BUILTIN_SHA256_BYTES."""
+    """Write the report, hashing and writing each chunk as it comes, then its
+    run manifest, the reproducibility record, whose params are the options as
+    parsed. With --out, the chunks go to a sibling temporary file that
+    replaces it only once the last is written."""
     out = args.out
-    held, size, digest = [], 0, None
+    digest = _builtin_sha256()
     part = f"{out}.{os.getpid()}.part"
     try:
         with open(part, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as fh:
             for chunk in chunks:
+                digest.update(chunk.encode("utf-8"))
                 fh.write(chunk)
-                if digest is not None:
-                    digest.update(chunk.encode("utf-8"))
-                elif not out:
-                    held.append(chunk.encode("utf-8"))
-                    size += len(held[-1])
-                    if size > _BUILTIN_SHA256_BYTES:
-                        digest, held = _sha256(held, size), None
         if out:
-            with open(part, "rb") as fh:
-                digest = _sha256(iter(lambda: fh.read(1 << 16), b""), os.path.getsize(part))
             os.replace(part, out)
     finally:
         if out and os.path.exists(part):
             os.remove(part)
-    if digest is None:
-        digest = _sha256(held, size)
     manifest = {
         "command": ".".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
         "params": _params(args),
@@ -142,8 +119,7 @@ def _emit(args, chunks: Iterable[str], t0: float) -> None:
         # what bench numbers depend on; cpus is the psi* sweep's thread count
         "env": {"python": platform.python_version(), "numpy": np.__version__, "cpus": usable_cpus(),
                 "numba_importable": importlib.util.find_spec("numba") is not None,
-                "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-                "sha256": "hashlib" if type(digest).__module__ == "_hashlib" else "builtin"},
+                "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
     }
     if hasattr(args, "workers"):
         manifest["workers"] = args.workers

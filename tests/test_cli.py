@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import psqr
-from psqr import census, cli, expsums, kernels, predict, psprimes
+from psqr import census, expsums, kernels, predict, psprimes
 from psqr.cli import _parse_count, build_parser, main
 from psqr.errors import CheckFailed, PsqrError
 
@@ -387,44 +387,25 @@ def _modules_after(argv, out) -> tuple[list[str], dict]:
 
 
 def test_psprimes_run_loads_only_its_modules(tmp_path):
-    loaded, manifest = _modules_after(["psprimes", "--c", "11/10", "--range", "1,1000"],
-                                      tmp_path / "p.txt")
+    loaded, _ = _modules_after(["psprimes", "--c", "11/10", "--range", "1,1000"], tmp_path / "p.txt")
     assert loaded == ["psqr", "psqr.cli", "psqr.errors", "psqr.psprimes"]  # no _hashlib
-    assert manifest["env"]["sha256"] == "builtin"
 
 
 def test_census_run_loads_no_expsums(tmp_path):
     loaded, manifest = _modules_after(["census", "2,3", "--range", "1e3,2e3"], tmp_path / "c.json")
     assert "psqr.census" in loaded and "psqr.expsums" not in loaded
-    assert "_hashlib" not in loaded and manifest["env"]["sha256"] == "builtin"
+    assert "_hashlib" not in loaded
     assert manifest["env"]["cpus"] == len(os.sched_getaffinity(0))
 
 
-def test_output_past_the_builtin_digest_loads_hashlib(tmp_path):
+def test_large_report_loads_no_hashlib(tmp_path):
+    # a list written in 32 chunks (header and 31 blocks): the built-in SHA-256,
+    # fed chunk by chunk, gives hashlib's checksum of the whole file
     out = tmp_path / "p.txt"
     loaded, manifest = _modules_after(["psprimes", "--c", "1", "--range", "0,2e6"], out)
     body = out.read_bytes()
-    assert len(body) == 1_101_986 > cli._BUILTIN_SHA256_BYTES
-    assert "_hashlib" in loaded and manifest["env"]["sha256"] == "hashlib"
+    assert len(body) == 1_101_986 and "_hashlib" not in loaded
     assert manifest["output_sha256"] == hashlib.sha256(body).hexdigest()
-
-
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("extra,sha256_by", [(0, "builtin"), (1, "hashlib")])
-def test_emit_digest_either_side_of_the_switch(capsys, tmp_path, to_file, extra, sha256_by):
-    # 2**19 bytes in uneven chunks, then one more byte: stdout holds them for the
-    # digest, and --out reads its file back
-    size = cli._BUILTIN_SHA256_BYTES
-    chunks = ["a" * 1000] * (size // 1000) + ["b" * (size % 1000 + extra)]
-    out = tmp_path / "report.txt"
-    args = argparse.Namespace(command="psprimes", out=str(out) if to_file else None)
-    cli._emit(args, iter(chunks), time.perf_counter())
-    captured = capsys.readouterr()
-    body = out.read_bytes() if to_file else captured.out.encode()
-    manifest = json.loads(captured.err)
-    assert len(body) == size + extra
-    assert manifest["output_sha256"] == hashlib.sha256(body).hexdigest()
-    assert manifest["env"]["sha256"] == sha256_by
 
 
 def test_import_psqr_loads_no_module_of_its_own():
@@ -712,9 +693,7 @@ def test_manifest_env_leaves_the_report_alone(capsys, tmp_path, argv, sha256):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
     assert manifest["output_sha256"] == sha256 and "env" not in out
     env = manifest["env"]
-    assert set(env) == {"python", "numpy", "numba_importable", "cpus", "openblas_num_threads",
-                        "sha256"}
-    assert env["sha256"] == "builtin"
+    assert set(env) == {"python", "numpy", "numba_importable", "cpus", "openblas_num_threads"}
     assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
     assert env["cpus"] == expsums.usable_cpus() >= 1 and isinstance(env["numba_importable"], bool)
