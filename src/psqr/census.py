@@ -6,9 +6,10 @@ an n-window at the config's exponent. Plain primes are the window at c = 1,
 whose floors are n itself. Work streams, in block order, through fixed
 blocks of at most MAX_BLOCK_SIZE n or primes (PsPrimeRange.blocks or
 prime_file_blocks), so memory does not grow with the input and reports are
-byte-identical for any thread count. Every block hands its primes to the
-histogram as one uint64 array: psprimes.ps_prime_array's floors, or a
-verified block of the file.
+byte-identical for any thread count; census_workers sizes a window's pool
+by psprimes.primality_tier, prime_flags' tier rule and cost table. Every
+block hands its primes to the histogram as one uint64 array:
+psprimes.ps_prime_array's floors, or a verified block of the file.
 
 Symbols come from the set's odd-exponent prime basis, read off the
 factorizations the square-subset family already holds, so each element is
@@ -39,8 +40,8 @@ from .errors import (
 from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
 from .psprimes import (
-    _SIEVE_SPAN, _SIEVE_VALUE_CAP, BLOCK_SIZE, PRIME_BUDGET, PsPrimeRange, RationalExponent,
-    floor_pow, prime_flags, ps_prime_array,
+    BLOCK_SIZE, FLOOR_PASS_S, PRIME_BUDGET, PsPrimeRange, RationalExponent, floor_pow,
+    prime_flags, primality_tier, ps_prime_array,
 )
 from .residues import symbol_bits
 
@@ -133,13 +134,14 @@ def prime_file_blocks(path: str, block_size: int = BLOCK_SIZE) -> Iterator[np.nd
     each primality-checked before it is yielded.
 
     Entries are ASCII decimal integers below 2**64, strictly ascending. A
-    block is parsed up to its end or the file's first malformed line, then
-    its entries are checked by one prime_flags call. Every earlier block
-    passed, so the earliest bad line is the one reported.
+    block is parsed up to its end or the file's first malformed line (a byte
+    that is not UTF-8 included), then its entries are checked by one
+    prime_flags call. Every earlier block passed, so the earliest bad line is
+    the one reported.
     """
     error: Exception | None = None
     last = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         numbered = enumerate(fh, 1)
         while True:
             primes, lines = array("Q"), array("Q")  # entries and their line numbers, unboxed
@@ -218,9 +220,6 @@ def _census_block(task: tuple) -> tuple[int, int, dict[int, int]]:
     return _count_patterns(basis, primes)
 
 
-# serial census seconds per n (census_workers): float floors at c > 1, then the
-# prime_flags tier of the top floor: segment sieve, batched or scalar Miller-Rabin
-_FLOOR_S, _SIEVE_S, _BATCHED_S, _SCALAR_S = 3e-8, 1.2e-8, 1.5e-6, 7e-6
 # estimated serial seconds from which a window forks a pool: ~10x its start cost
 POOL_MIN_WORK_S = 0.25
 
@@ -229,41 +228,23 @@ def census_workers(window: PsPrimeRange, block_size: int, threads: int) -> int:
     """Worker processes for a census of window in blocks of block_size n: 1,
     this process, or a pool of at most threads, and at most one per block.
 
-    A pool is forked only for two blocks or more whose estimated serial work,
-    n times a per-n cost, reaches POOL_MIN_WORK_S. The cost is that of the
-    prime_flags tier of the window's top floor: the segment sieve when it is
-    below _SIEVE_VALUE_CAP and floors there lie under _SIEVE_SPAN apart,
-    batched Miller-Rabin below 2**53, else scalar is_prime; at c > 1, plus
-    the float floors. Measured in process on a 2-vCPU Xeon with numpy 2.4,
-    best of 3, serial and then at 2 workers (seconds):
-
-        c = 11/10, x = 610,677, 2**16 n blocks   0.027  0.028  43 ns/n
-        c = 11/10, x = 610,677, 2**18 n blocks   0.025  0.040  41 ns/n
-        c = 1, (6e6, 9e6], 8 elements, 2**16     0.073  0.068  24 ns/n
-        c = 1, (6e6, 9e6], 8 elements, 2**20     0.040  0.055  13 ns/n
-        c = 1, (0, 1e8], 2**19                   0.86   0.51   8.6 ns/n
-        c = 1, (0, 1e8], 2**22                   1.18   0.70   12 ns/n
-        c = 11/10, 6 x 2**16 n, floors ~2**52    0.64   0.48   1.6 us/n
-        c = 1, 4 x 2**16 n from 2**62            1.96   1.31   7.5 us/n
-
-    A pool of two that counts two tiny blocks (c = 1, (0, 2000]) takes
-    0.014 s against 0.0005 s serial, so a window repays one only from a few
-    tenths of a second. The rule reads no clock and no CPU count, so a run
-    forks the same pool on any host.
+    A pool is forked only for two blocks or more whose estimated serial work
+    reaches POOL_MIN_WORK_S: the window's n times the per-n cost of its top
+    block (the block_size n up to hi), which psprimes.primality_tier prices
+    from the block's end floors by prime_flags' tier and cost table, plus
+    FLOOR_PASS_S per n at c > 1. A pool of two that counts two tiny blocks
+    (c = 1, (0, 2000]) takes 0.014 s against 0.0005 s serial, so a window
+    repays one only from a few tenths of a second. The rule reads no clock
+    and no CPU count, so a run forks the same pool on any host.
     """
     c = window.exponent
-    top = floor_pow(window.hi, c)
-    if top < _SIEVE_VALUE_CAP and top * c.num < _SIEVE_SPAN * window.hi * c.den:
-        per_n = _SIEVE_S  # c top / hi is the floors' spacing at the top
-    elif top < 1 << 53:
-        per_n = _BATCHED_S
-    else:
-        per_n = _SCALAR_S
-    if c.num != c.den:
-        per_n += _FLOOR_S
     n = window.hi - window.lo
+    count = min(n, block_size)  # the top block's n, up to hi
+    seconds = primality_tier(count, floor_pow(window.hi - count + 1, c), floor_pow(window.hi, c))[1]
+    if c.num != c.den:
+        seconds += count * FLOOR_PASS_S
     blocks = -(-n // block_size)
-    if threads == 1 or blocks < 2 or n * per_n < POOL_MIN_WORK_S:
+    if threads == 1 or blocks < 2 or seconds * n / count < POOL_MIN_WORK_S:
         return 1
     return min(threads, blocks)
 

@@ -41,7 +41,6 @@ _POW_BIT_BUDGET = 1 << 21     # cap on bits of n**num intermediates
 
 _SIEVE_WIDTH_CAP = 1 << 26    # widest value window we sieve instead of testing
 _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
-_SIEVE_SPAN = 1 << 8          # values of run width that cost the sieve one entry test (prime_flags)
 # values prime_flags tests by batched Miller-Rabin (_mulmod's range); prime_flags
 # searches its uint64 values only with uint64 keys, which numpy compares
 # without first casting the whole array
@@ -114,6 +113,39 @@ def _segment_is_prime(lo: int, hi: int) -> np.ndarray:
 
 # -- batched primality -------------------------------------------------------
 
+# the primality cost table, in serial seconds (primality_tier)
+_TEST_S = 7e-7                # one entry test: a batched Miller-Rabin entry, or one base prime
+_SIEVE_SPAN = 1 << 8          # values of sieve width that cost one entry test
+_SCALAR_S = 7e-6              # one is_prime entry, from 2**53
+FLOOR_PASS_S = 2e-8           # one n of the float floor pass at c > 1 (_certified_floors)
+
+
+def primality_tier(count: int, lo: int, hi: int) -> tuple[str, float]:
+    """prime_flags' tier for a run of count ascending values in [lo, hi]
+    ("sieve", "batched" or "scalar") and its serial seconds, in Python alone.
+
+    A run up to _SIEVE_VALUE_CAP is one _segment_is_prime lookup when it
+    holds at least as many entries as the sieve costs in entry tests: one per
+    base prime, bounded by pi(x) < 1.25506 x / ln x, x > 1 (Rosser and
+    Schoenfeld, Illinois J. Math. 6 (1962), Cor. 1) at x = isqrt(hi), plus
+    one per _SIEVE_SPAN values of its width. Measured on a 2-vCPU Xeon with
+    numpy 2.4, a base prime of that bound costs the sieve 0.65-0.75 us and a
+    value of width 2.5-5 ns, and prime_flags a batched entry 0.42 us near
+    2**40 to 0.75 us near 2**53 (_TEST_S takes the top: a run priced high
+    costs a census at most a pool start), so a base prime weighs about one
+    entry and 2**8 values one more. Other runs are batched below 2**53 and
+    take is_prime (6.7 us an entry near 2**62) above.
+    """
+    root = math.isqrt(hi)
+    if root > 1 and hi <= _SIEVE_VALUE_CAP:
+        tests = 1.25506 * root / math.log(root) + (hi - lo) / _SIEVE_SPAN
+        if count >= tests:
+            return "sieve", tests * _TEST_S
+    if hi < 1 << 53:
+        return "batched", count * _TEST_S
+    return "scalar", count * _SCALAR_S
+
+
 def prime_flags(values: np.ndarray) -> np.ndarray:
     """is_prime of each entry of a strictly ascending uint64 array, as a bool
     array.
@@ -121,21 +153,11 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
     Each entry takes one of three tiers, by value and density:
 
     1. Dense runs: the entries up to _SIEVE_VALUE_CAP are cut into greedy runs
-       no wider than _SIEVE_WIDTH_CAP. A run is one _segment_is_prime lookup
-       when it holds at least as many entries as the sieve costs in entry
-       tests: one per base prime, bounded without building them by
-       pi(x) < 1.25506 x / ln x, x > 1 (Rosser and Schoenfeld, Illinois J.
-       Math. 6 (1962), Cor. 1) at x = isqrt(hi), plus one per _SIEVE_SPAN
-       values of the run's width. Measured on a 2-vCPU Xeon with numpy 2.4, a
-       base prime costs the sieve loop ~1 us and a value of width 2-12 ns
-       (the most in 2**26-wide segments, which outgrow the caches), while a
-       batched Miller-Rabin entry costs 0.4 us (a random value, which trial
-       division or the first base mostly rules out) to 2-3 us (a prime below
-       2**32, which takes every base it needs); so a base prime weighs about
-       one entry, and 2**8 values of width about one more. As the entries
-       strictly ascend, a run as wide as it is long holds consecutive
-       values, and its segment is its flags. A sparser run is tested entry
-       by entry below.
+       no wider than _SIEVE_WIDTH_CAP, and a run is one _segment_is_prime
+       lookup when primality_tier (the density rule, beside the cost table)
+       says so. As the entries strictly ascend, a run as wide as it is long
+       holds consecutive values, and its segment is its flags. A sparser run
+       is tested entry by entry below.
     2. Entries in [38, 2**53): batched Miller-Rabin, _MR_CHUNK values at a
        time (_miller_rabin), with the bases is_prime would use: base 2 in one
        call, then the rest as (value, base) lanes, _MR_CHUNK a call; a chunk
@@ -163,8 +185,7 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
         lo = int(capped[i])
         j = int(np.searchsorted(capped, np.uint64(lo + _SIEVE_WIDTH_CAP), side="right"))
         hi = int(capped[j - 1])
-        root = math.isqrt(hi)
-        if root > 1 and j - i >= 1.25506 * root / math.log(root) + (hi - lo) / _SIEVE_SPAN:
+        if primality_tier(j - i, lo, hi)[0] == "sieve":
             seg = _segment_is_prime(lo, hi)
             if j - i < seg.size:
                 # an int64 view of values below 2**44 indexes without numpy's uint64 cast
@@ -436,10 +457,8 @@ def ps_prime_array(c: RationalExponent, lo: int, hi: int) -> tuple[np.ndarray, n
     at c = 11/10 rise by ~2**21 near floors of 2**52. The pass is float64
     alone, so every platform certifies the same floors.
 
-    The floors strictly ascend, and prime_flags decides their primality: a
-    block of dense floors below _SIEVE_VALUE_CAP is one segment-sieve lookup
-    (at c = 1 the segment itself), and sparse or larger floors take batched
-    or scalar Miller-Rabin.
+    The floors strictly ascend, and prime_flags decides their primality, by
+    the tier primality_tier picks for each run.
     """
     n0 = lo + 1
     if c.num == c.den:

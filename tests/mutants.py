@@ -1,0 +1,96 @@
+"""Mutation checks: each mutant is a textual patch on a temporary copy of
+src/, and a test that must fail against the patched copy.
+
+    python tests/mutants.py
+
+The named tests first run against an unpatched copy, where they must pass.
+The script prints one line per mutant and exits 1 if the baseline fails or
+any mutant survives. Its name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (what the mutant breaks, file under src/psqr, text, its replacement, test that must fail)
+MUTANTS = [
+    (
+        "census_workers prices the sieve for every top floor below _SIEVE_VALUE_CAP",
+        "census.py",
+        "    seconds = primality_tier(",
+        "    seconds = count * 1.2e-8 if floor_pow(window.hi, c) < 1 << 44 else primality_tier(",
+        "tests/test_census.py::test_census_workers_rule",
+    ),
+    (
+        "primality_tier prices the sieve past _SIEVE_VALUE_CAP",
+        "psprimes.py",
+        "    if root > 1 and hi <= _SIEVE_VALUE_CAP:\n",
+        "    if root > 1:\n",
+        "tests/test_census.py::test_census_prices_the_tier_prime_flags_takes",
+    ),
+    (
+        "the density rule forgets the run's width",
+        "psprimes.py",
+        " + (hi - lo) / _SIEVE_SPAN\n",
+        "\n",
+        "tests/test_psprimes.py::test_sparse_wide_run_is_tested_not_sieved",
+    ),
+    (
+        "_mulmod without its np.remainder",
+        "psprimes.py",
+        "    return np.remainder(t, m.view(np.int64)).view(np.uint64)\n",
+        "    return t.view(np.uint64)\n",
+        "tests/test_psprimes.py::test_mulmod_is_exact_below_2_53",
+    ),
+    (
+        "prime_file_blocks without surrogateescape",
+        "census.py",
+        ', errors="surrogateescape")',
+        ")",
+        "tests/test_census.py::test_prime_file_rejects_the_earliest_bad_line",
+    ),
+]
+
+
+def _passes(src: Path, tests: list[str]) -> bool:
+    """Whether the tests pass with psqr imported from src."""
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True).returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="psqr-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if not _passes(src, sorted({m[-1] for m in MUTANTS})):
+            print("baseline: the named tests fail on the unpatched source")
+            return 1
+        survived = 0
+        for name, file, old, new, test in MUTANTS:
+            path = src / "psqr" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"stale   {name}: its text is not found once in {file}")
+                survived += 1
+                continue
+            path.write_text(text.replace(old, new))
+            try:
+                killed = not _passes(src, [test])
+            finally:
+                path.write_text(text)
+            survived += not killed
+            print(f"{'killed ' if killed else 'SURVIVED'} {name} ({test})")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from psqr import census, kernels, residues
+from psqr import census, kernels, psprimes, residues
 from psqr.census import CensusConfig, prime_file_blocks, run_census
 from psqr.errors import (
     BadPrimeFile,
@@ -117,7 +117,7 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
 _N52 = integer_nth_root(1 << 520, 11)  # floors from ~2**52 at c = 11/10
 
 
-@pytest.mark.parametrize("c, lo, hi, block, threads, workers", [
+_WORKER_ROWS = [
     # light windows, timed at 0.005-0.07 s serial: a pool loses
     (C11, 610_677, 1_221_354, 1 << 16, 2, 1),
     (C11, 610_677, 1_221_354, 1 << 18, 2, 1),
@@ -136,9 +136,51 @@ _N52 = integer_nth_root(1 << 520, 11)  # floors from ~2**52 at c = 11/10
     (C1, 1 << 62, (1 << 62) + (1 << 16), 1 << 16, 8, 1),
     # sparse floors below the sieve's cap take Miller-Rabin, a per-n cost to repay
     (RationalExponent(19, 10), 10**6, 2 * 10**6, 1 << 16, 2, 2),
-], ids=str)
+    # c = 1 blocks of 2**16 n from 2**40 have too few n to repay the sieve's
+    # base primes, so they take Miller-Rabin (0.37-0.60 s serial); from 2**34
+    # they sieve (0.08-0.16 s)
+    (C1, 1 << 40, (1 << 40) + (1 << 20), 1 << 16, 2, 2),
+    (C1, 1 << 43, (1 << 43) + (1 << 20), 1 << 16, 2, 2),
+    (C1, 1 << 34, (1 << 34) + (1 << 20), 1 << 16, 2, 1),
+]
+
+
+@pytest.mark.parametrize("c, lo, hi, block, threads, workers", _WORKER_ROWS, ids=str)
 def test_census_workers_rule(c, lo, hi, block, threads, workers):
     assert census.census_workers(PsPrimeRange(c, lo, hi), block, threads) == workers
+
+
+# the rule's windows, then c = 1 windows of 2**20 n across the tiers, and dense
+# floors just past the sieve's cap, in blocks wide enough to pass the density rule
+_TIER_WINDOWS = list(dict.fromkeys([row[:4] for row in _WORKER_ROWS] + [
+    (C1, 1 << e, (1 << e) + (1 << 20), 1 << 16) for e in (36, 40, 43, 54)
+] + [(C1, 1 << 45, (1 << 45) + (1 << 23), 1 << 22)]))
+
+
+@pytest.mark.parametrize("c, lo, hi, block", _TIER_WINDOWS, ids=str)
+def test_census_prices_the_tier_prime_flags_takes(monkeypatch, c, lo, hi, block):
+    priced = []
+
+    def pricing(count, f_lo, f_hi):
+        priced.append(psprimes.primality_tier(count, f_lo, f_hi))
+        return priced[-1]
+
+    monkeypatch.setattr(census, "primality_tier", pricing)
+    census.census_workers(PsPrimeRange(c, lo, hi), block, 2)
+    [(tier, _)] = priced
+
+    # the Miller-Rabin tiers only record; the sieve runs, as primes_up_to needs it
+    taken, sieve = set(), psprimes._segment_is_prime
+
+    def sieving(s_lo, s_hi):
+        taken.add("sieve")
+        return sieve(s_lo, s_hi)
+
+    monkeypatch.setattr(psprimes, "_segment_is_prime", sieving)
+    monkeypatch.setattr(psprimes, "_miller_rabin", lambda m: taken.add("batched") or np.zeros(m.size, bool))
+    monkeypatch.setattr(psprimes, "is_prime", lambda m: taken.add("scalar") or False)
+    psprimes.ps_prime_array(c, max(lo, hi - block), hi)
+    assert taken == {tier}
 
 
 def test_census_block_size_invariance():
@@ -307,10 +349,13 @@ def test_prime_file_validation(tmp_path):
     ("11\ntwelve\n15\n", BadPrimeFile, ":2: not a decimal integer"),
     ("13\n11\n15\n", BadPrimeFile, ":2: entries must be strictly ascending"),
     (f"11\n{1 << 64}\n15\n", Overflow, ":2: entry exceeds the 2**64"),
+    # a byte that is not UTF-8 is a malformed line, not a decode error
+    (b"11\n\xff\n", BadPrimeFile, ":2: not a decimal integer"),
+    (b"2\n4\n\xff\n", BadPrimeFile, ":2: 4 is not prime"),
 ])
 def test_prime_file_rejects_the_earliest_bad_line(tmp_path, body, error, message):
     path = tmp_path / "primes.txt"
-    path.write_text(body, encoding="utf-8")
+    path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
     # one entry a block puts each bad line in a later block than the good ones
     for block_size in (1, BLOCK_SIZE):
         if error is None:
