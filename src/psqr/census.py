@@ -1,15 +1,15 @@
 """Empirical sign-pattern censuses with predicted-vs-observed comparison.
 
-A census reads its primes from exactly one place: a prime-list file (one
-decimal prime per line, ascending, '#' comments), or the PS primes [n^c] of
-an n-window at the config's exponent. Plain primes are the window at c = 1,
-whose floors are n itself. Work streams, in block order, through fixed
-blocks of at most MAX_BLOCK_SIZE n or primes (PsPrimeRange.blocks or
-prime_file_blocks), so memory does not grow with the input and reports are
-byte-identical for any thread count; census_workers sizes a window's pool
-by psprimes.primality_tier, prime_flags' tier rule and cost table. Every
-block hands its primes to the histogram as one uint64 array:
-psprimes.ps_prime_array's floors, or a verified block of the file.
+A census reads its primes from exactly one place: the PS primes [n^c] of a
+PsPrimeRange, an n-window with its exponent, or a prime-list file (one
+decimal prime per line, ascending, '#' comments). Plain primes are the
+window at c = 1, whose floors are n itself. Work streams, in block order,
+through fixed blocks of at most MAX_BLOCK_SIZE n or primes
+(PsPrimeRange.blocks or prime_file_blocks), so memory does not grow with the
+input and reports are byte-identical for any thread count; census_workers
+sizes a window's pool by psprimes.primality_tier, prime_flags' tier rule and
+cost table. Every block hands its primes to the histogram as one uint64
+array: psprimes.ps_prime_array's floors, or a verified block of the file.
 
 Symbols come from the set's odd-exponent prime basis, read off the
 factorizations the square-subset family already holds, so each element is
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -38,9 +37,9 @@ from .errors import (
     BadPrimeFile, Overflow, PreconditionViolated, ResourceLimit, SetTooLarge, WindowTooSmall,
 )
 from .kernels import SquareSubsetFamily, _mask_key
-from .predict import PATTERN_SET_CAP, Prediction, parity_analysis
+from .predict import PATTERN_SET_CAP, Prediction, dominates, parity_analysis
 from .psprimes import (
-    BLOCK_SIZE, FLOOR_PASS_S, PRIME_BUDGET, PsPrimeRange, RationalExponent, floor_pow,
+    BLOCK_SIZE, FLOOR_PASS_S, PRIME_BUDGET, PsPrimeRange, floor_pow,
     prime_flags, primality_tier, ps_prime_array,
 )
 from .residues import symbol_bits
@@ -53,28 +52,13 @@ MAX_THREADS = 1 << 5
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """One census run: the set, and its primes: a prime_file, or the PS primes
-    of the window (x, 2x] or (lo, hi] at the exponent (c = 1: all primes)."""
+    """One census run: the set, and its primes: the PS primes of a window at
+    its exponent (c = 1: all primes), or the path of a prime-list file."""
 
     elements: tuple[int, ...]
-    exponent: RationalExponent = RationalExponent(1, 1)
-    x: int | None = None          # dyadic window (x, 2x]
-    lo: int | None = None         # absolute window (lo, hi]
-    hi: int | None = None
-    prime_file: str | None = None
+    primes: PsPrimeRange | str
     block_size: int = BLOCK_SIZE
     threads: int = 1
-
-    def window(self) -> PsPrimeRange:
-        """The n-window at the exponent, validated against the prime budget."""
-        if self.x is not None and self.lo is None and self.hi is None:
-            return PsPrimeRange(self.exponent, self.x, 2 * self.x)
-        if self.x is None and self.lo is not None and self.hi is not None:
-            return PsPrimeRange(self.exponent, self.lo, self.hi)
-        given = ", ".join(k for k in ("x", "lo", "hi") if getattr(self, k) is not None)
-        raise PreconditionViolated(
-            f"a census reads one of: x, lo and hi, or a prime_file; got {given or 'none'}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,27 +271,23 @@ def run_census(config: CensusConfig) -> CensusReport:
         raise Overflow(f"threads are capped at {MAX_THREADS}, got {config.threads}")
 
     prediction = parity_analysis(config.elements)
-    if config.prime_file is not None:
-        if (config.x, config.lo, config.hi) != (None, None, None):
-            raise PreconditionViolated("a census reads a prime_file or a window, not both")
+    primes = config.primes
+    if isinstance(primes, PsPrimeRange):
+        blocks = primes.blocks(config.block_size)
+        workers = census_workers(primes, config.block_size, config.threads)
+        # a dyadic window (x, 2x] must dominate prod(S)**gamma for the side
+        # condition to vanish; a PsPrimeRange has x < 2**64, which bounds the power
+        if primes.hi == 2 * primes.lo and not dominates(primes.lo, config.elements, primes.exponent):
+            raise WindowTooSmall(
+                f"x = {primes.lo} does not exceed prod(S)**gamma for S = {config.elements}"
+            )
+    else:
         # a file's size is unknown until it is read: up to threads blocks are
         # read ahead, and two or more fork a pool no wider than they are
-        blocks = prime_file_blocks(config.prime_file, config.block_size)
+        blocks = prime_file_blocks(primes, config.block_size)
         head = list(itertools.islice(blocks, config.threads))
         workers = max(len(head), 1)
         blocks = itertools.chain(head, blocks)
-    else:
-        window = config.window()
-        blocks = window.blocks(config.block_size)
-        workers = census_workers(window, config.block_size, config.threads)
-    if config.x is not None:
-        # the window is validated first, so x < 2**64 bounds the power below;
-        # dyadic windows must dominate prod(S)**gamma for the side condition to vanish
-        prod = math.prod(config.elements)
-        if config.x ** config.exponent.num <= prod**config.exponent.den:
-            raise WindowTooSmall(
-                f"x = {config.x} does not exceed prod(S)**gamma for S = {config.elements}"
-            )
 
     basis = _basis(prediction.family)
     tasks = ((basis, block) for block in blocks)

@@ -172,18 +172,14 @@ def cmd_census(args, census):
         raise ValueError(f"--source all is the c = 1 stream; it conflicts with --c {c}")
     if args.source == "all" and args.prime_file is not None:
         raise PreconditionViolated("a census reads a prime_file or a window, not both")
-    x = _parse_count(args.x) if args.x is not None else None
-    lo, hi = _parse_range(args.range) if args.range is not None else (None, None)
-    config = census.CensusConfig(
-        elements=elements,
-        exponent=c,
-        x=x,
-        lo=lo,
-        hi=hi,
-        prime_file=args.prime_file,
-        block_size=args.block_size,
-        threads=args.threads,
-    )
+    if args.prime_file is not None:
+        primes = args.prime_file
+    elif args.x is not None:
+        x = _parse_count(args.x)
+        primes = PsPrimeRange(c, x, 2 * x)
+    else:
+        primes = PsPrimeRange(c, *_parse_range(args.range))
+    config = census.CensusConfig(elements, primes, args.block_size, args.threads)
     report = census.run_census(config)
     args.workers = report.workers  # processes that counted: the manifest's, not a param
     return [report.to_csv() if args.csv else report.to_json()], True
@@ -254,11 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="empirical sign-pattern census")
     p.add_argument("set")
     p.add_argument("--c", default="1")
-    p.add_argument("--x", help="dyadic window (x, 2x]")
-    p.add_argument("--range", help="absolute window lo,hi")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--x", help="dyadic window (x, 2x]")
+    source.add_argument("--range", help="absolute window lo,hi")
+    source.add_argument("--prime-file", help="census this prime list instead of a window")
     p.add_argument("--source", choices=("ps", "all"), default="ps",
                    help="all: every prime in the window, the PS primes at c = 1")
-    p.add_argument("--prime-file", help="census this prime list instead of a window")
     # argparse converts a string default with type, so a bad PSQR_THREADS exits 2
     p.add_argument("--threads", type=int, default=os.environ.get("PSQR_THREADS", "1"))
     p.add_argument("--block-size", type=int, default=BLOCK_SIZE)

@@ -122,6 +122,12 @@ def parity_analysis(S: Iterable[int]) -> Prediction:
     )
 
 
+def dominates(x: int, S: Iterable[int], c: RationalExponent) -> bool:
+    """Whether x exceeds prod(S)**gamma, gamma = 1/c: the side condition under
+    which the main terms hold over (x, 2x]. Exact: x**c > prod(S) in integers."""
+    return x**c.num > math.prod(S) ** c.den
+
+
 def qr_count_asymptotic(S: Iterable[int], c: RationalExponent, x: int) -> float:
     """Main-term prediction for the all-residue count over the window (x, 2x]."""
     if x > sys.float_info.max:  # exact int-float compare: no power, no conversion
@@ -129,8 +135,7 @@ def qr_count_asymptotic(S: Iterable[int], c: RationalExponent, x: int) -> float:
     if x < 2:
         raise PreconditionViolated(f"the main term x / log x needs x >= 2, got {x}")
     fam = square_subset_family(S)
-    prod = math.prod(fam.elements)
-    if x**c.num <= prod**c.den:
+    if not dominates(x, fam.elements, c):
         warnings.warn(
             f"x = {x} is below the validity threshold prod(S)**gamma",
             XTooSmallWarning,

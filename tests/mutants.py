@@ -56,6 +56,28 @@ MUTANTS = [
         ")",
         "tests/test_census.py::test_prime_file_rejects_the_earliest_bad_line",
     ),
+    (
+        "symbol_bits without its reciprocity flip",
+        "residues.py",
+        "    if q & 3 == 3:\n",
+        "    if False:\n",
+        "tests/test_residues.py::test_symbol_bits_match_the_column",
+    ),
+    (
+        "_jacobi_row without (0/p) = 0",
+        "residues.py",
+        "        legendre[0] = 0\n",
+        "",
+        # run alone, test_jacobi_zero_iff_common_factor earns no row and passes
+        "tests/test_residues.py::test_jacobi_rows_match_reference_loop",
+    ),
+    (
+        "run_census without the dyadic WindowTooSmall check",
+        "census.py",
+        "        if primes.hi == 2 * primes.lo and not dominates(",
+        "        if False and not dominates(",
+        "tests/test_census.py::test_window_validation",
+    ),
 ]
 
 

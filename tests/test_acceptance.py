@@ -13,17 +13,17 @@ from psqr.census import CensusConfig, run_census
 from psqr.expsums import bilinear_check, cancellation_scan, majorant_check, vaughan, von_mangoldt
 from psqr.kernels import brute_force_family, square_subset_family
 from psqr.predict import qr_count_asymptotic
-from psqr.psprimes import RationalExponent, floor_pow, primes_up_to
+from psqr.psprimes import PsPrimeRange, RationalExponent, floor_pow, primes_up_to
 from psqr.residues import jacobi, legendre_euler
 
 C1 = RationalExponent(1, 1)
 C11 = RationalExponent(11, 10)
 
 _CENSUS_CONFIGS = {
-    "thm1_c1": CensusConfig(elements=(2, 3), exponent=C1, x=10**6),
-    "thm1_c11": CensusConfig(elements=(2, 3), exponent=C11, x=10**6),
-    "zero_c1": CensusConfig(elements=(2, 3, 6), exponent=C1, x=5 * 10**6),
-    "zero_c11": CensusConfig(elements=(2, 3, 6), exponent=C11, x=10**5),
+    "thm1_c1": CensusConfig(elements=(2, 3), primes=PsPrimeRange(C1, 10**6, 2 * 10**6)),
+    "thm1_c11": CensusConfig(elements=(2, 3), primes=PsPrimeRange(C11, 10**6, 2 * 10**6)),
+    "zero_c1": CensusConfig(elements=(2, 3, 6), primes=PsPrimeRange(C1, 5 * 10**6, 10**7)),
+    "zero_c11": CensusConfig(elements=(2, 3, 6), primes=PsPrimeRange(C11, 10**5, 2 * 10**5)),
 }
 
 

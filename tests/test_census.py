@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from psqr import census, kernels, psprimes, residues
@@ -25,6 +25,7 @@ from psqr.errors import (
     WindowTooSmall,
 )
 from psqr.kernels import _mask_key, factorize, square_subset_family
+from psqr.predict import dominates
 from psqr.psprimes import (
     _SIEVE_VALUE_CAP,
     BLOCK_SIZE,
@@ -45,7 +46,7 @@ C11 = RationalExponent(11, 10)
 
 
 def test_census_tiny_window_all_residues():
-    report = run_census(CensusConfig(elements=(1,), exponent=C1, lo=10, hi=20))
+    report = run_census(CensusConfig(elements=(1,), primes=PsPrimeRange(C1, 10, 20)))
     assert report.total_primes == 4
     assert report.qr_count == 4
     assert report.nqr_count == 0
@@ -54,20 +55,20 @@ def test_census_tiny_window_all_residues():
 
 
 def test_census_single_element_near_half():
-    report = run_census(CensusConfig(elements=(2,), exponent=C1, x=10**4))
+    report = run_census(CensusConfig(elements=(2,), primes=PsPrimeRange(C1, 10**4, 2 * 10**4)))
     assert abs(report.qr_fraction - 0.5) < 0.05
     assert report.skipped == 0
 
 
 def test_census_conservation_and_skips():
     # window contains p = 2 (always skipped) plus 3 and 5, both dividing 15
-    report = run_census(CensusConfig(elements=(15,), exponent=C1, lo=1, hi=30))
+    report = run_census(CensusConfig(elements=(15,), primes=PsPrimeRange(C1, 1, 30)))
     assert report.skipped == 3
     assert sum(report.pattern_counts.values()) + report.skipped == report.total_primes
 
 
 def test_census_structural_zero():
-    report = run_census(CensusConfig(elements=(2, 3, 6), exponent=C1, x=10**5))
+    report = run_census(CensusConfig(elements=(2, 3, 6), primes=PsPrimeRange(C1, 10**5, 2 * 10**5)))
     assert report.nqr_count == 0
     zero_keys = [k for k, d in report.predicted.pattern_densities.items() if d == 0]
     assert zero_keys
@@ -76,7 +77,7 @@ def test_census_structural_zero():
 
 
 def test_census_thread_invariance():
-    base = CensusConfig(elements=(2, 3), exponent=C11, x=10**4)
+    base = CensusConfig(elements=(2, 3), primes=PsPrimeRange(C11, 10**4, 2 * 10**4))
     reports = [
         run_census(dataclasses.replace(base, threads=t)).to_json() for t in (1, 4, 8)
     ]
@@ -94,10 +95,10 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
     # every window of two blocks or more repays a pool
     monkeypatch.setattr(census, "POOL_MIN_WORK_S", 0.0)
     monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
-    base = CensusConfig(elements=(2, 3), lo=0, hi=1000, block_size=1000, threads=8)
+    base = CensusConfig(elements=(2, 3), primes=PsPrimeRange(C1, 0, 1000), block_size=1000, threads=8)
     want = {}
     for hi, workers in ((1000, []), (1001, [2]), (3000, [3]), (20_000, [8])):
-        config = dataclasses.replace(base, hi=hi)
+        config = dataclasses.replace(base, primes=PsPrimeRange(C1, 0, hi))
         want[hi] = run_census(dataclasses.replace(config, threads=1)).to_json()
         started.clear()
         report = run_census(config)
@@ -109,7 +110,7 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
         path = str(tmp_path / f"{hi}.txt")
         write_prime_file(path, primes_up_to(hi).tolist())
         started.clear()
-        report = run_census(dataclasses.replace(base, lo=None, hi=None, prime_file=path))
+        report = run_census(dataclasses.replace(base, primes=path))
         assert report.to_json() == want[hi]
         assert started == workers and report.workers == (workers or [1])[0], hi
 
@@ -184,7 +185,7 @@ def test_census_prices_the_tier_prime_flags_takes(monkeypatch, c, lo, hi, block)
 
 
 def test_census_block_size_invariance():
-    base = CensusConfig(elements=(2, 5), exponent=C1, lo=100, hi=20000)
+    base = CensusConfig(elements=(2, 5), primes=PsPrimeRange(C1, 100, 20000))
     a = run_census(base).to_json()
     b = run_census(dataclasses.replace(base, block_size=977)).to_json()
     assert a == b
@@ -202,7 +203,7 @@ def test_census_factors_each_element_once(monkeypatch):
     elements = (6, 10, 15)
     for c in (C1, C11):
         calls.clear()
-        run_census(CensusConfig(elements=elements, exponent=c, x=1000))
+        run_census(CensusConfig(elements=elements, primes=PsPrimeRange(c, 1000, 2000)))
         # symbol rows factor their modulus, a basis prime, never an element
         assert sorted(n for n in calls if n in elements) == list(elements)
 
@@ -213,16 +214,16 @@ def c1_windows(draw):
     width = draw(st.integers(1, 600))
     edge = draw(st.sampled_from((0, 1 << 44, 1 << 53)))
     lo = edge - draw(st.integers(0, width)) if edge else 0
-    return {"lo": lo, "hi": lo + width}
+    return lo, lo + width
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.integers(1, 1 << 20), min_size=1, max_size=4, unique=True), c1_windows())
-@example([2, 3], {"x": 10**4})
+@example([2, 3], (10**4, 2 * 10**4))
 def test_ps_source_equals_all_primes_at_c_one(elements, window):
     # a c = 1 census counts every prime of the window: scalar is_prime is the oracle
-    report = run_census(CensusConfig(elements=tuple(elements), exponent=C1, **window))
-    lo, hi = (window["x"], 2 * window["x"]) if "x" in window else (window["lo"], window["hi"])
+    lo, hi = window
+    report = run_census(CensusConfig(elements=tuple(elements), primes=PsPrimeRange(C1, lo, hi)))
     primes = np.array([p for p in range(lo + 1, hi + 1) if is_prime(p)], dtype=np.uint64)
     total, skipped, counts = _column_histogram(elements, primes)
     assert (report.total_primes, report.skipped) == (total, skipped)
@@ -237,23 +238,25 @@ def small_censuses(draw):
     lo = draw(st.integers(0, 10**6))
     hi = lo + draw(st.integers(1, 1000))
     elements = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3, unique=True))
-    return CensusConfig(elements=tuple(elements), exponent=c, lo=lo, hi=hi)
+    # run_census refuses a dyadic window (x, 2x] that does not dominate prod(S)**gamma
+    assume(hi != 2 * lo or dominates(lo, elements, c))
+    return CensusConfig(elements=tuple(elements), primes=PsPrimeRange(c, lo, hi))
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_censuses(), st.booleans(), st.integers(1, 1 << 12))
-@example(CensusConfig(elements=(2, 3), exponent=C11, lo=10**4, hi=11_000), True, 16)  # a pool
-@example(CensusConfig(elements=(2, 3), exponent=C11, lo=10**4, hi=11_000), True, 4096)  # in process
+@example(CensusConfig(elements=(2, 3), primes=PsPrimeRange(C11, 10**4, 11_000)), True, 16)  # a pool
+@example(CensusConfig(elements=(2, 3), primes=PsPrimeRange(C11, 10**4, 11_000)), True, 4096)  # in process
 def test_census_bytes_for_any_block_size_and_thread_count(config, from_file, block):
     # from_file: census a file of the window's PS primes instead of the window
     with tempfile.TemporaryDirectory() as tmp:
-        size = config.hi - config.lo  # n or file entries
+        size = config.primes.hi - config.primes.lo  # n or file entries
         if from_file:
             path = os.path.join(tmp, "ps.txt")
-            primes = [p for _, p in ps_primes_in(PsPrimeRange(config.exponent, config.lo, config.hi))]
+            primes = [p for _, p in ps_primes_in(config.primes)]
             write_prime_file(path, primes)
             size = len(primes)
-            config = dataclasses.replace(config, prime_file=path, lo=None, hi=None)
+            config = dataclasses.replace(config, primes=path)
         want = run_census(config).to_json()
         got = run_census(dataclasses.replace(config, block_size=block))
         assert got.to_json() == want and got.workers == 1
@@ -297,8 +300,8 @@ def test_file_round_trip(window):
         path = os.path.join(tmp, "ps.txt")
         primes = (p for _, p in ps_primes_in(PsPrimeRange(c, lo, hi)))
         write_prime_file(path, primes, comment="round trip")
-        direct = run_census(CensusConfig(elements=(2, 3), exponent=c, lo=lo, hi=hi))
-        ingested = run_census(CensusConfig(elements=(2, 3), prime_file=path))
+        direct = run_census(CensusConfig(elements=(2, 3), primes=PsPrimeRange(c, lo, hi)))
+        ingested = run_census(CensusConfig(elements=(2, 3), primes=path))
     assert direct.to_json() == ingested.to_json()
 
 
@@ -366,22 +369,14 @@ def test_prime_file_rejects_the_earliest_bad_line(tmp_path, body, error, message
         assert f"{path}{message}" in str(info.value)
 
 
-def test_window_validation(tmp_path):
+def test_window_validation():
     with pytest.raises(WindowTooSmall):
-        run_census(CensusConfig(elements=(100, 200), exponent=C1, x=10))
-    with pytest.raises(PreconditionViolated):
-        run_census(CensusConfig(elements=(2,), exponent=C1))
+        run_census(CensusConfig(elements=(100, 200), primes=PsPrimeRange(C1, 10, 20)))
+    # only a dyadic window (x, 2x] must dominate prod(S)**gamma
+    report = run_census(CensusConfig(elements=(100, 200), primes=PsPrimeRange(C1, 10, 21)))
+    assert report.total_primes == 4
     with pytest.raises(SetTooLarge):
-        run_census(CensusConfig(elements=tuple(range(1, 23)), exponent=C1, x=10**4))
-    # a census reads its primes from one place: a field is never silently dropped
-    path = tmp_path / "primes.txt"
-    path.write_text("11\n13\n")
-    for window in ({"lo": 10, "hi": 100}, {"x": 1}, {"lo": 10}, {"hi": 100}):
-        with pytest.raises(PreconditionViolated, match="not both"):
-            run_census(CensusConfig(elements=(2, 3), prime_file=str(path), **window))
-    for window in ({"x": 10**4, "lo": 10, "hi": 100}, {"lo": 10}, {"hi": 100}):
-        with pytest.raises(PreconditionViolated, match="one of"):
-            run_census(CensusConfig(elements=(2, 3), **window))
+        run_census(CensusConfig(elements=tuple(range(1, 23)), primes=PsPrimeRange(C1, 10**4, 20_000)))
 
 
 def _budget_n(c):
@@ -406,15 +401,13 @@ def _first_block(task):
 
 @st.composite
 def census_inputs(draw):
-    """Any mix of x, lo, hi and prime_file: small windows, windows at and past
-    the 2**64 floor budget, and x up to 10**100000."""
+    """A window, (x, 2x] or (lo, hi], or None for a prime file: small windows,
+    windows at and past the 2**64 floor budget, and x up to 10**100000."""
     c = draw(st.sampled_from((C1, C11, C255)))
     top = _budget_n(c)
-    given = draw(st.sampled_from(
-        ("x", "lo hi", "file", "x lo hi", "file x", "file lo hi", "lo", "hi", "")
-    )).split()
-    x = lo = hi = None
-    if "x" in given:
+    source = draw(st.sampled_from(("x", "lo hi", "file")))
+    window = None
+    if source == "x":
         x = draw(st.one_of(
             st.integers(-1, 3000),
             st.integers(1 << 33, top),                           # too many blocks
@@ -422,55 +415,46 @@ def census_inputs(draw):
             st.integers(1 << 64, 1 << 8200),                     # past it, n**255 < 2**21 bits
             st.integers(19, 100_000).map(lambda e: 10**e),       # far past it
         ))
-    if "lo" in given or "hi" in given:
+        window = (x, 2 * x)
+    elif source == "lo hi":
         hi = draw(st.sampled_from((0, 3000, top, top + 1, 1 << 64, 1 << 8000, 10**400)))
         hi += draw(st.integers(-3, 3))
-        lo = hi - draw(st.integers(-2, 600)) if "lo" in given else None
-        hi = hi if "hi" in given else None
+        window = (hi - draw(st.integers(-2, 600)), hi)
     elements = draw(st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True))
-    return c, tuple(elements), x, lo, hi, "file" in given
+    return c, tuple(elements), window
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(census_inputs())
-@example((C255, (2, 3), 10**100_000, None, None, False))
-@example((C255, (2, 3), 1 << 8000, None, None, False))
-@example((C255, (2, 3), None, _TOP_255 - 600, _TOP_255, False))
-@example((C255, (2, 3), None, _TOP_255 - 600, _TOP_255 + 1, False))
+@example((C255, (2, 3), (10**100_000, 2 * 10**100_000)))
+@example((C255, (2, 3), (1 << 8000, 1 << 8001)))
+@example((C255, (2, 3), (_TOP_255 - 600, _TOP_255)))
+@example((C255, (2, 3), (_TOP_255 - 600, _TOP_255 + 1)))
 def test_window_validation_property(case):
-    # every mix either censuses or raises a documented class, in bounded time;
-    # a dyadic window past one block is only run up to its first block
-    c, elements, x, lo, hi, from_file = case
+    # every source either censuses or raises a documented class, in bounded
+    # time; a window past one block is only run up to its first block
+    c, elements, window = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "primes.txt")
         write_prime_file(path, [11, 13, 17, 19])
-        config = CensusConfig(elements=elements, exponent=c, x=x, lo=lo, hi=hi,
-                              prime_file=path if from_file else None)
-        wide = x is not None and x > BLOCK_SIZE
+        wide = window is not None and window[1] - window[0] > BLOCK_SIZE
         t0 = time.perf_counter()
         try:
+            primes = path if window is None else PsPrimeRange(c, *window)
             with mock.patch.object(census, "_census_block", _first_block) if wide else nullcontext():
-                report = run_census(config)
+                report = run_census(CensusConfig(elements=elements, primes=primes))
             outcome = None
         except (PreconditionViolated, WindowTooSmall, Overflow, _FirstBlock) as exc:
             outcome = type(exc)
         assert time.perf_counter() - t0 < 1.0
-    window = None  # stays None for a mix that is not one window
-    if x is not None and (lo, hi) == (None, None):
-        window = (x, 2 * x)
-    elif x is None and None not in (lo, hi):
-        window = (lo, hi)
-    windowed = (x, lo, hi) != (None, None, None)
-    if from_file == windowed or (windowed and window is None):
-        assert outcome is PreconditionViolated
-    elif window and 0 <= window[0] < window[1] and window[1] >= PRIME_BUDGET:
+    if window and 0 <= window[0] < window[1] and window[1] >= PRIME_BUDGET:
         assert outcome is Overflow
     elif outcome is None:
         assert sum(report.pattern_counts.values()) + report.skipped == report.total_primes
 
 
 def test_report_json_shape():
-    report = run_census(CensusConfig(elements=(2, 3), exponent=C1, lo=10, hi=1000))
+    report = run_census(CensusConfig(elements=(2, 3), primes=PsPrimeRange(C1, 10, 1000)))
     doc = json.loads(report.to_json())
     assert set(doc) == {
         "total_primes",
@@ -488,7 +472,7 @@ def test_report_json_shape():
 
 
 def test_report_csv_shape():
-    report = run_census(CensusConfig(elements=(2,), exponent=C1, lo=10, hi=500))
+    report = run_census(CensusConfig(elements=(2,), primes=PsPrimeRange(C1, 10, 500)))
     lines = report.to_csv().strip().splitlines()
     assert lines[0] == "pattern,count,predicted,deviation"
     assert len(lines) == 3
@@ -506,7 +490,7 @@ def test_census_structural_zeros_random_sets():
     for _ in range(10):
         size = rng.randrange(2, 5)
         elements = tuple(rng.sample(range(2, 60), size))
-        report = run_census(CensusConfig(elements=elements, exponent=C1, lo=100, hi=20000))
+        report = run_census(CensusConfig(elements=elements, primes=PsPrimeRange(C1, 100, 20000)))
         for key, dens in report.predicted.pattern_densities.items():
             if dens == 0:
                 assert report.pattern_counts.get(key, 0) == 0, (elements, key)
@@ -516,7 +500,7 @@ def test_census_structural_zeros_random_sets():
 
 def test_census_square_singleton_is_all_residue():
     # a square element is a residue at every odd prime; p = 2 is skipped
-    report = run_census(CensusConfig(elements=(4,), exponent=C1, lo=1, hi=200))
+    report = run_census(CensusConfig(elements=(4,), primes=PsPrimeRange(C1, 1, 200)))
     assert report.qr_fraction == 1.0
     assert report.skipped == 1
     assert report.pattern_counts == {"0": report.total_primes - 1}
@@ -526,7 +510,7 @@ def test_census_counts_match_pattern_at():
     from psqr.residues import pattern_at
 
     elements = (3, 5, 7)
-    report = run_census(CensusConfig(elements=elements, exponent=C1, lo=10, hi=2000))
+    report = run_census(CensusConfig(elements=elements, primes=PsPrimeRange(C1, 10, 2000)))
     counts: dict[str, int] = {}
     skipped = 0
     total = 0
@@ -557,7 +541,7 @@ def test_file_census_below_2_64_matches_pattern_at(tmp_path):
     write_prime_file(str(path), primes)
     # an even element past 2**32, 2**64 itself, and the largest prime below 2**64
     elements = (3, (1 << 33) + 2, top[0], 1 << 64)
-    report = run_census(CensusConfig(elements=elements, prime_file=str(path), block_size=16))
+    report = run_census(CensusConfig(elements=elements, primes=str(path), block_size=16))
     patterns = [None if p == 2 else pattern_at(elements, p) for p in primes]
     counts: dict[str, int] = {}
     for pat in filter(None, patterns):
@@ -572,13 +556,13 @@ def test_census_overflow_propagates():
 
     with pytest.raises(Overflow):
         run_census(
-            CensusConfig(elements=(2,), exponent=RationalExponent(3, 2), lo=1, hi=1 << 44)
+            CensusConfig(elements=(2,), primes=PsPrimeRange(RationalExponent(3, 2), 1, 1 << 44))
         )
 
 
 def test_census_ps_exponent_pair_set():
     # {2,8}: the two signs always agree, so the all-plus share sits near 1/2
-    report = run_census(CensusConfig(elements=(2, 8), exponent=C11, x=10**5))
+    report = run_census(CensusConfig(elements=(2, 8), primes=PsPrimeRange(C11, 10**5, 2 * 10**5)))
     assert abs(report.qr_fraction - 0.5) < 0.05
     assert report.pattern_counts.get("01", 0) == 0
     assert report.pattern_counts.get("10", 0) == 0
@@ -586,14 +570,14 @@ def test_census_ps_exponent_pair_set():
 
 def test_convergence_table_shrinks():
     # one census per x: the all-residue fraction closes in on its density 1/4
-    reports = [run_census(CensusConfig(elements=(2, 3), exponent=C1, x=x)) for x in (10**4, 10**5, 10**6)]
+    reports = [run_census(CensusConfig((2, 3), PsPrimeRange(C1, x, 2 * x))) for x in (10**4, 10**5, 10**6)]
     assert all(r.predicted.qr_density == 0.25 for r in reports)
     deviations = [abs(r.qr_fraction - 0.25) for r in reports]
     assert deviations[-1] < deviations[0] and deviations[-1] < 0.01
 
 
 def test_convergence_table_ps_exponent():
-    reports = [run_census(CensusConfig(elements=(2, 8), exponent=C11, x=x)) for x in (10**5, 10**6)]
+    reports = [run_census(CensusConfig((2, 8), PsPrimeRange(C11, x, 2 * x))) for x in (10**5, 10**6)]
     assert all(r.predicted.qr_density == 0.5 for r in reports)
     assert all(abs(r.qr_fraction - 0.5) < 0.02 for r in reports)
 
@@ -706,7 +690,7 @@ def test_census_rebuilds_rows_evicted_mid_run(monkeypatch):
     monkeypatch.setattr(store, "_build", counted_build)
     monkeypatch.setattr(store, "clear", counted_clear)
     try:
-        report = run_census(CensusConfig(elements=elements, exponent=C1, lo=0, hi=120_000,
+        report = run_census(CensusConfig(elements=elements, primes=PsPrimeRange(C1, 0, 120_000),
                                          block_size=4096))
         assert store.entries <= 1 << 12
     finally:

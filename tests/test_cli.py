@@ -27,7 +27,10 @@ from helpers import write_prime_file
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own exit
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -159,6 +162,14 @@ def test_census_csv(capsys):
 def test_census_window_required(capsys):
     code, _, err = run_cli(capsys, "census", "2,3")
     assert code == 2
+    assert "one of the arguments --x --range --prime-file is required" in err
+
+
+@pytest.mark.parametrize("prime_file", [[], ["--prime-file", "primes.txt"]])
+def test_census_x_with_range_exit_2(capsys, prime_file):
+    code, out, err = run_cli(capsys, "census", "2,3", "--x", "1e4", "--range", "10,100", *prime_file)
+    assert (code, out) == (2, "")
+    assert "argument --range: not allowed with argument --x" in err
 
 
 def test_census_source_all_is_c_one(capsys):
@@ -179,7 +190,10 @@ def test_census_prime_file_with_a_window_exit_2(tmp_path, capsys, window):
     path.write_text("11\n13\n")
     code, out, err = run_cli(capsys, "census", "2,3", "--prime-file", str(path), *window)
     assert (code, out) == (2, "")
-    assert "prime_file or a window, not both" in err
+    if window[0] == "--source":
+        assert "prime_file or a window, not both" in err
+    else:  # argparse's group of sources
+        assert f"argument {window[0]}: not allowed with argument --prime-file" in err
 
 
 @pytest.mark.parametrize("argv", [
