@@ -42,7 +42,7 @@ from .psprimes import (
     BLOCK_SIZE, FLOOR_PASS_S, PRIME_BUDGET, PsPrimeRange, floor_pow,
     prime_flags, primality_tier, ps_prime_array,
 )
-from .residues import symbol_bits
+from .residues import plan_rows, symbol_bits
 
 # n (or primes) per block: a window block holds ~40 bytes per n
 MAX_BLOCK_SIZE = 1 << 22
@@ -169,11 +169,13 @@ class _Basis:
 
     flips: (q, positions) for each prime q dividing some element to an odd
     power, ascending in q; bit i of positions is set when q divides element i
-    to an odd power. divisors: every prime dividing some element.
+    to an odd power. divisors: every prime dividing some element. rows: the
+    q whose symbols take rows (residues.plan_rows), planned once per census.
     """
 
     flips: tuple[tuple[int, int], ...]
     divisors: tuple[int, ...]
+    rows: frozenset[int]
 
 
 def _basis(family: SquareSubsetFamily) -> _Basis:
@@ -184,7 +186,7 @@ def _basis(family: SquareSubsetFamily) -> _Basis:
             divisors.add(q)
             if e & 1:
                 flips[q] = flips.get(q, 0) | 1 << i
-    return _Basis(tuple(sorted(flips.items())), tuple(sorted(divisors)))
+    return _Basis(tuple(sorted(flips.items())), tuple(sorted(divisors)), plan_rows(flips))
 
 
 def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[int, int]]:
@@ -193,7 +195,7 @@ def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[i
     odd = primes[~np.isin(primes, np.array((2,) + basis.divisors, dtype=np.uint64))]
     masks = np.zeros(odd.size, dtype=np.int64)
     for q, positions in basis.flips:
-        masks ^= symbol_bits(q, odd) * np.int64(positions)
+        masks ^= symbol_bits(q, odd, basis.rows) * np.int64(positions)
     keys, counts = np.unique(masks, return_counts=True)
     return primes.size, primes.size - odd.size, dict(zip(keys.tolist(), counts.tolist()))
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import usable_cpus
 from .errors import Overflow, PreconditionViolated
 from .kernels import factorize
 from .psprimes import _segment_is_prime, primes_up_to
-from .residues import jacobi_column
+from .residues import COLUMN_CHUNK, jacobi_column
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,7 +34,35 @@ MAX_GRID_TERMS = 1 << 30   # grid points times J: the sines a majorant check eva
 # values per psi* thread task (numpy's sin releases the GIL)
 CHUNK = 1 << 13
 MAX_PSI_STAR_THREADS = 32
+# n per slice of a scan row: any 2**16 n above 2**16 hold at most 5,709 odd
+# prime powers (those of (2**16, 2**17]), so psi* sweeps a slice in one chunk
+SCAN_SLICE = 1 << 16
 PAIR_SLICE = 1 << 13  # (m, n) pairs of a bilinear sum formed at once
+T_BLOCK = 1 << 13  # odd t = m n whose phases a bilinear check forms at once
+
+
+def _in_order(fn: Callable, tasks: Iterable[tuple]) -> Iterator:
+    """fn(*task) for each task, lazily and in task order, on one pool of up to
+    usable_cpus() threads (at most MAX_PSI_STAR_THREADS) with at most 2 x
+    threads tasks in flight; a task's exception is re-raised, and the queued
+    tasks are cancelled and the threads joined however the run ends."""
+    threads = min(usable_cpus(), MAX_PSI_STAR_THREADS)
+    if threads == 1:
+        yield from itertools.starmap(fn, tasks)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        in_flight = deque()
+        for task in tasks:
+            in_flight.append(pool.submit(fn, *task))
+            if len(in_flight) == 2 * threads:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def psi(x: float) -> float:
@@ -63,8 +92,8 @@ class TruncatedExpansion:
 
         Arguments are reduced mod 1 and reflected into [0, 1/2] (the series is
         odd around integers), keeping every sine argument well conditioned.
-        Chunks of CHUNK arguments are swept on up to usable_cpus()
-        threads, joined before return; each value is the same for any count.
+        Chunks of CHUNK arguments are swept on up to usable_cpus() threads
+        (_in_order), joined before return; each value is the same for any count.
         """
         x = np.asarray(x, dtype=np.float64)
         w = np.mod(x.reshape(-1), 1.0)
@@ -73,16 +102,10 @@ class TruncatedExpansion:
         acc = np.zeros_like(w)
         term = np.empty_like(w)  # allocated here, so the threads allocate nothing
         chunks = [slice(k, k + CHUNK) for k in range(0, w.size, CHUNK)]
-        sweeps = [(w[c], acc[c], term[c]) for c in chunks]
-        threads = min(usable_cpus(), MAX_PSI_STAR_THREADS, len(chunks))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(self._sweep, *zip(*sweeps)))  # re-raises a chunk's exception
-        else:
-            for sweep in sweeps:
-                self._sweep(*sweep)
+        if len(chunks) > 1:
+            deque(_in_order(self._sweep, ((w[c], acc[c], term[c]) for c in chunks)), 0)
+        else:  # one chunk sweeps inline: a scan slice runs on the scan's own pool
+            self._sweep(w, acc, term)
         np.negative(acc, out=acc, where=flip)
         acc = acc.reshape(x.shape)
         return acc if acc.ndim else float(acc)
@@ -181,12 +204,19 @@ def odd_prime_powers(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """
     ns = np.flatnonzero(_segment_is_prime(N + 1, M)) + (N + 1)
     ns = ns[ns & 1 == 1]
-    # (p^k, p) for each odd prime p <= isqrt(M) and k >= 2 with p^k in (N, M]
-    pk = np.array([(p**k, p) for p in primes_up_to(math.isqrt(M))[1:].tolist()
-                   for k in range(2, int(M).bit_length()) if N < p**k <= M], dtype=np.int64)
-    pk = pk.reshape(-1, 2)
-    order = np.argsort(np.concatenate([ns, pk[:, 0]]))
-    ns, ps = (np.concatenate([ns, pk[:, i]])[order] for i in (0, 1))
+    # the higher powers p**k in (N, M], k = 2, 3, ..., of the odd primes p <= isqrt(M)
+    p = primes_up_to(math.isqrt(M))[1:]
+    pk, hk, hp = p * p, [p[:0]], [p[:0]]
+    while p.size:
+        hk.append(pk[pk > N])
+        hp.append(p[pk > N])
+        more = pk <= M // p
+        p, pk = p[more], pk[more] * p[more]
+    hk, hp = np.concatenate(hk), np.concatenate(hp)
+    order = np.argsort(hk)
+    at = np.searchsorted(ns, hk[order])
+    ps = np.insert(ns, at, hp[order])
+    ns = np.insert(ns, at, hk[order])
     return ns, np.fromiter(map(math.log, ps), np.float64, ps.size)
 
 
@@ -300,17 +330,35 @@ def _l_sum(N: int, M: int, J: int, gamma: float, s: int) -> float:
         raise PreconditionViolated(f"need 1/2 < gamma <= 1, got {gamma}")
     if M > MAX_SIEVE:
         raise Overflow(f"M is capped at the sieve budget {MAX_SIEVE}, got {M}")
-    exp = build_expansion(J)  # refuses J < 1
-    ns, lam = odd_prime_powers(N, M)  # the sums run over odd integers only
-    if ns.size == 0:
-        return 0.0
-    diffs = exp.psi_star(-(ns.astype(np.float64) ** gamma)) - exp.psi_star(
-        -((ns + 1).astype(np.float64) ** gamma)
-    )
-    contrib = lam * diffs
-    if s != 1:
-        contrib = contrib * jacobi_column(s, ns)
-    return math.fsum(contrib)
+    return next(_l_sums([(N, M, J)], gamma, s))
+
+
+def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Iterator[float]:
+    """For each (N, M, J) of rows, in order: the sum of Lambda(n) (s/n)
+    (psi*(-n**gamma) - psi*(-(n+1)**gamma)) over the odd prime powers n in
+    (N, M], psi* of truncation J. Rows run as slices of SCAN_SLICE n, each
+    sieving its own n, on one thread pool for all rows (_in_order); fsum is
+    exact, so a row's value is the same for any slicing and thread count.
+    """
+    # a cached prime above every slice's isqrt(M) (Bertrand), so no thread grows the cache
+    primes_up_to(2 * math.isqrt(max(M for _, M, _ in rows)))
+
+    def slices() -> Iterator[tuple]:
+        for row, (N, M, J) in enumerate(rows):
+            exp = build_expansion(J)
+            for a in range(N, M, SCAN_SLICE):
+                yield row, exp, a, min(a + SCAN_SLICE, M)
+
+    def terms(row: int, exp: TruncatedExpansion, a: int, b: int) -> tuple[int, list[float]]:
+        ns, lam = odd_prime_powers(a, b)  # the sums run over odd integers only
+        x, x1 = ns.astype(np.float64), (ns + 1).astype(np.float64)
+        contrib = lam * (exp.psi_star(-(x**gamma)) - exp.psi_star(-(x1**gamma)))
+        if s != 1:
+            contrib *= jacobi_column(s, ns)
+        return row, contrib.tolist()
+
+    for _, parts in itertools.groupby(_in_order(terms, slices()), key=lambda part: part[0]):
+        yield math.fsum(itertools.chain.from_iterable(part for _, part in parts))
 
 
 def L1(N: int, M: int, J: int, gamma: float) -> float:
@@ -322,6 +370,34 @@ def L2(N: int, M: int, J: int, gamma: float, s: int) -> float:
     """L1 twisted by the Jacobi character (s/n); s squarefree."""
     _require_squarefree(s)
     return _l_sum(N, M, J, gamma, s)
+
+
+class _ExactSum:
+    """The exact sum of the float64 values added, rounded once: value() is
+    bit-equal to math.fsum of them all, as both round the exact sum to
+    nearest, ties to even.
+
+    A finite x is m 2**(e - 53), frexp's exponent e and an integer |m| < 2**53.
+    The halves m >> 26 and m & (2**26 - 1) are summed per exponent by
+    bincount: its float64 sums of at most 2**26 halves below 2**27 are exact
+    integers. Each add gathers them into one Python int, the sum times 2**1126.
+    """
+
+    def __init__(self) -> None:
+        self._total = 0
+
+    def add(self, x: np.ndarray) -> None:
+        mant, exp = np.frexp(x)
+        mant = np.ldexp(mant, 53).astype(np.int64)
+        exp += 1073  # 2**-1074 has e = -1073
+        for i in range(0, x.size, 1 << 26):
+            e, m = exp[i : i + (1 << 26)], mant[i : i + (1 << 26)]
+            hi, lo = np.bincount(e, m >> 26), np.bincount(e, m & ((1 << 26) - 1))
+            for k in np.flatnonzero((hi != 0) | (lo != 0)).tolist():
+                self._total += ((int(hi[k]) << 26) + int(lo[k])) << k
+
+    def value(self) -> float:
+        return self._total / (1 << 1126)  # int division rounds once, ties to even
 
 
 def bilinear_check(
@@ -352,42 +428,26 @@ def bilinear_check(
 
     mu = mobius_sieve(int(u))  # read at d, e and m <= u only
     # chi[n >> 1] = (s/n) for odd n <= M: every symbol the sums below take
-    chi = jacobi_column(s, np.arange(1, M + 1, 2, dtype=np.uint64))
-    live = np.flatnonzero(chi) * 2 + 1
-
-    # every t = m n below is odd in (N, M]; e(j t^gamma) = cos y + i sin y with
-    # y = (2 pi j) t^gamma, t^gamma by Python's pow, as cmath.exp forms it
-    t0 = (N + 1) | 1
-    ts = range(t0, M + 1, 2)
-    y = (TWO_PI * j) * np.fromiter(map(float(gamma).__rpow__, ts), np.float64, len(ts))
-    cos_t, sin_t = np.cos(y), np.sin(y, out=y)
+    step = 2 * COLUMN_CHUNK  # odd n a column takes at once, so no array spans all n <= M
+    chi = np.concatenate([jacobi_column(s, np.arange(n, min(n + step, M + 1), 2, dtype=np.uint64))
+                          for n in range(1, M + 1, step)])
+    live = np.flatnonzero(chi)
+    live *= 2
+    live += 1
 
     def bilinear(ms: np.ndarray, weight: np.ndarray, lo: np.ndarray, cand: np.ndarray,
-                 coeff) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(real, imag) arrays of x e(j (mn)^gamma), x = coeff(weight(m) (s/m), n), over
-        the odd m of ms with nonzero weight and symbol and the n of cand in [lo, M // m].
-        A nonzero part rounds as in the product of x + 0i and cos + i sin; fsum
-        skips zeros, so their signs do not matter."""
+             coeff) -> tuple:
+        """One sum of x e(j (mn)^gamma), x = coeff(weight(m) (s/m), n), over the
+        odd m of ms and the n of cand in [lo, M // m]: the m with nonzero weight
+        and symbol, weight(m) (s/m), lo, M // m, cand and coeff."""
         keep = (weight != 0) & (chi[ms >> 1] != 0)
-        ms, weight, lo = ms[keep], weight[keep] * chi[ms[keep] >> 1], lo[keep]
-        for rows, n in _pairs(lo, M // ms, cand):
-            x, k = coeff(weight[rows], n), (ms[rows] * n - t0) >> 1
-            yield x * cos_t[k], x * sin_t[k]
-
-    def fold(*sums: Iterator[tuple[np.ndarray, np.ndarray]]) -> complex:
-        imag = []  # fsum takes the real parts as they are formed, then these
-
-        def real() -> Iterator[list]:
-            for re, im in itertools.chain(*sums):
-                imag.append(im)
-                yield re.tolist()
-        total = math.fsum(itertools.chain.from_iterable(real()))
-        return complex(total, math.fsum(itertools.chain.from_iterable(im.tolist() for im in imag)))
+        ms = ms[keep]
+        return ms, weight[keep] * chi[ms >> 1], lo[keep], M // ms, cand, coeff
 
     # the sum itself is the m = 1 row over the odd prime powers with a nonzero symbol
     powers = pw[chi[pw >> 1] != 0]
     one = np.ones(1, dtype=np.int64)
-    lhs = fold(bilinear(one, one, one * (N + 1), powers, lambda w, n: w * lam(n) * chi[n >> 1]))
+    lhs = [bilinear(one, one, one * (N + 1), powers, lambda w, n: w * lam(n) * chi[n >> 1])]
 
     # a(m) = sum of mu(d) over d | m, d <= u, for the m of the type II sum
     n_min_1 = int(math.floor(v)) + 1  # smallest admissible n in the type-II sum
@@ -418,7 +478,24 @@ def bilinear_check(
     ms = np.arange(1, cap + 1, 2)
     type_1b = bilinear(ms, -b_arr[ms], N // ms + 1, live, lambda w, n: w * chi[n >> 1])
 
-    return lhs, fold(type_2, type_1, type_1b)
+    # every t = m n is odd in (N, M]; e(j t^gamma) = cos y + i sin y with y = (2 pi j)
+    # t^gamma, t^gamma by Python's pow, as cmath.exp forms it. The phases are formed
+    # a block of T_BLOCK odd t at a time, each sum taking the pairs with m n in the
+    # block; a nonzero part rounds as in the product of x + 0i and cos + i sin, and
+    # the exact sums skip zeros, so their signs do not matter.
+    sides = [(lhs, _ExactSum(), _ExactSum()), ([type_2, type_1, type_1b], _ExactSum(), _ExactSum())]
+    for t0 in range((N + 1) | 1, M + 1, 2 * T_BLOCK):
+        ts = range(t0, min(t0 + 2 * T_BLOCK, M + 1), 2)
+        y = (TWO_PI * j) * np.fromiter(map(float(gamma).__rpow__, ts), np.float64, len(ts))
+        cos_t, sin_t = np.cos(y), np.sin(y, out=y)
+        for sums, re, im in sides:
+            for ms, weight, lo, hi, cand, coeff in sums:
+                lo, hi = np.maximum(lo, -(-t0 // ms)), np.minimum(hi, ts[-1] // ms)
+                for rows, n in _pairs(lo, hi, cand):
+                    x, k = coeff(weight[rows], n), (ms[rows] * n - t0) >> 1
+                    re.add(x * cos_t[k])
+                    im.add(x * sin_t[k])
+    return tuple(complex(re.value(), im.value()) for _, re, im in sides)
 
 
 def _pairs(lo: np.ndarray, hi: np.ndarray, cand: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
@@ -490,7 +567,8 @@ def cancellation_scan(
     gamma: float, s: int, N_list: Sequence[int], J: int | None = None
 ) -> ExpSumReport:
     """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice),
-    2 max(N) <= MAX_SIEVE; each row sieves only its own range (N, 2N]."""
+    2 max(N) <= MAX_SIEVE; the rows stream through one thread pool in slices
+    of SCAN_SLICE n (_l_sums)."""
     if not 0.5 < gamma <= 1.0:
         raise PreconditionViolated(f"need 1/2 < gamma <= 1, got {gamma}")
     _require_squarefree(s)
@@ -501,14 +579,10 @@ def cancellation_scan(
         raise PreconditionViolated(f"every N must be >= 1, got N = {ns[0]}")
     if 2 * ns[-1] > MAX_SIEVE:
         raise Overflow(f"2 N is capped at the sieve budget {MAX_SIEVE}, got N = {ns[-1]}")
-    rows = []
-    for N in ns:
-        j_max = J if J is not None else default_truncation(N, gamma)
-        val = _l_sum(N, 2 * N, j_max, gamma, s)
-        rows.append(
-            ExpSumRow(
-                N=N, M=2 * N, s=s, j_max=j_max,
-                value=complex(val, 0.0), ratio=abs(val) / N**gamma,
-            )
-        )
-    return ExpSumReport(gamma=float(gamma), s=s, rows=tuple(rows))
+    j_max = [J if J is not None else default_truncation(N, gamma) for N in ns]
+    values = _l_sums([(N, 2 * N, j) for N, j in zip(ns, j_max)], gamma, s)
+    rows = tuple(
+        ExpSumRow(N=N, M=2 * N, s=s, j_max=j, value=complex(val, 0.0), ratio=abs(val) / N**gamma)
+        for N, j, val in zip(ns, j_max, values)
+    )
+    return ExpSumReport(gamma=float(gamma), s=s, rows=rows)

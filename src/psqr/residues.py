@@ -11,7 +11,9 @@ the product of (q/p) over the primes q dividing s to an odd power. For odd q,
 reciprocity turns (q/p) into ((p mod q)/q) and a sign read off p and q mod 4,
 so a whole column is one gather into q's row (the Legendre symbol mod q). A
 prime q above ROW_BUDGET/16, or one that has not yet earned its row, takes
-jacobi_column.
+jacobi_column. A run over many primes q (a census's basis) plans its rows once
+(plan_rows): the primes whose rows fit in ROW_BUDGET together take rows, and
+the rest take jacobi_column, so no planned row evicts another.
 
 The scalar routines serve the other traffic, every residue of one small
 modulus (criterion 10's sweep). Odd moduli below ROW_CAP are served from
@@ -24,8 +26,9 @@ byte per entry.
   most eight entries per symbol served, and moduli met a few times never pay
   for a table.
 * Memory: each of the two stores holds at most ROW_BUDGET entries (bytes)
-  and is cleared when a new row would pass that bound, so the rows of both
-  never take more than 2 * ROW_BUDGET bytes (8 MiB).
+  and is cleared when a new row would pass that bound (but for the rows of a
+  plan_rows plan, which fit together), so the rows of both never take more
+  than 2 * ROW_BUDGET bytes (8 MiB).
 * One store of Jacobi rows: jacobi's rows below ROW_CAP and symbol_bits' rows
   at prime moduli up to ROW_BUDGET/16 come from one builder, _jacobi_row,
   and share _JACOBI_ROWS, its call counts and its budget. Rows are built from
@@ -39,9 +42,10 @@ byte per entry.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -119,25 +123,28 @@ class _RowStore:
         self.entries = 0
         self._build = build
 
-    def row_after(self, m: int, served: int = 1) -> Optional[array]:
+    def row_after(self, m: int, served: int = 1, keep: Collection[int] = ()) -> Optional[array]:
         """Count `served` symbols at odd m, which has no row; return m's row
-        once m has served m/8 symbols in all, else None."""
+        once m has served m/8 symbols in all, else None. A row that would pass
+        ROW_BUDGET first clears the store but for the rows of keep."""
         calls = self.calls.get(m, 0) + served
         if calls << 3 < m:
             self.calls[m] = calls
             return None
         self.calls.pop(m, None)  # a row rebuilt after a clear pays again
         if self.entries + m > ROW_BUDGET:
-            self.clear()
+            self.clear(keep)
         row = self.rows[m] = self._build(m)
         self.entries += m
         return row
 
-    def clear(self) -> None:
-        """Drop every row and call count."""
+    def clear(self, keep: Collection[int] = ()) -> None:
+        """Drop every call count, and every row but those of keep."""
+        kept = {m: self.rows[m] for m in keep if m in self.rows}
         self.rows.clear()
+        self.rows.update(kept)
         self.calls.clear()
-        self.entries = 0
+        self.entries = sum(map(len, kept.values()))
 
 
 def _jacobi_row(m: int) -> array:
@@ -210,13 +217,24 @@ def _odd_prime(p: int) -> bool:
     return ok
 
 
-def symbol_bits(q: int, ns: np.ndarray) -> np.ndarray:
+def plan_rows(primes: Iterable[int]) -> frozenset[int]:
+    """The primes of one run whose symbol_bits columns may take rows: the odd
+    primes up to ROW_BUDGET/16, smallest first, while their rows fit in
+    ROW_BUDGET together. A planned row evicts only rows outside the plan, so
+    a run builds each of its rows at most once; the other primes take
+    jacobi_column."""
+    qs = sorted(q for q in primes if 2 < q <= ROW_BUDGET >> 4)  # 16 such rows fit
+    return frozenset(q for q, entries in zip(qs, itertools.accumulate(qs)) if entries <= ROW_BUDGET)
+
+
+def symbol_bits(q: int, ns: np.ndarray, plan: Optional[frozenset[int]] = None) -> np.ndarray:
     """jacobi_column(q, ns) < 0 for a prime q and a uint64 array of odd ns.
 
     (2/n) reads n mod 8. For odd q and n, reciprocity gives (q/n) = ((n mod
     q)/q), negated when q and n are both 3 mod 4 (and 0 when q divides n): one
-    gather into q's row once q <= ROW_BUDGET/16 has served q/8 moduli (counted
-    across calls), else the column.
+    gather into q's row once q has served q/8 moduli (counted across calls),
+    else the column. Only the primes of plan take rows; no plan is q's own,
+    plan_rows((q,)).
     """
     if not (ns & 1).all():
         raise EvenModulus("Jacobi moduli must be odd and positive")
@@ -225,11 +243,13 @@ def symbol_bits(q: int, ns: np.ndarray) -> np.ndarray:
         return (r == 3) | (r == 5)
     if not _odd_prime(q):
         raise NotPrime(f"symbol_bits needs a prime numerator, got {q}")
+    if plan is None:
+        plan = plan_rows((q,))
     row = None
-    if q <= ROW_BUDGET >> 4:  # at least 16 such rows fit in the store
+    if q in plan:
         row = _jacobi_rows.get(q)
         if row is None:
-            row = _JACOBI_ROWS.row_after(q, ns.size)
+            row = _JACOBI_ROWS.row_after(q, ns.size, plan)
     if row is None:
         return jacobi_column(q, ns) < 0
     symbols = np.frombuffer(row, dtype=np.int8)[ns % q]

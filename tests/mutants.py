@@ -68,8 +68,7 @@ MUTANTS = [
         "residues.py",
         "        legendre[0] = 0\n",
         "",
-        # run alone, test_jacobi_zero_iff_common_factor earns no row and passes
-        "tests/test_residues.py::test_jacobi_rows_match_reference_loop",
+        "tests/test_residues.py::test_jacobi_zero_iff_common_factor",
     ),
     (
         "run_census without the dyadic WindowTooSmall check",
@@ -77,6 +76,62 @@ MUTANTS = [
         "        if primes.hi == 2 * primes.lo and not dominates(",
         "        if False and not dominates(",
         "tests/test_census.py::test_window_validation",
+    ),
+    (
+        "a planned row evicts the rows of its plan",
+        "residues.py",
+        "        kept = {m: self.rows[m] for m in keep if m in self.rows}\n",
+        "        kept = {}\n",
+        "tests/test_census.py::test_census_builds_each_basis_row_at_most_once",
+    ),
+    (
+        "plan_rows plans past ROW_BUDGET",
+        "residues.py",
+        " if entries <= ROW_BUDGET)",
+        ")",
+        "tests/test_census.py::test_census_builds_each_basis_row_at_most_once",
+    ),
+    (
+        "_guard returns 0",
+        "psprimes.py",
+        "    return 2.0 ** math.ceil(math.log2(bound * (1 + 2**-20)))\n",
+        "    return 0.0\n",
+        "tests/test_psprimes.py::test_guards_as_derived",
+    ),
+    (
+        "_MR_BASES without its last base",
+        "psprimes.py",
+        "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)\n",
+        "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)\n",
+        "tests/test_psprimes.py::test_miller_rabin_limits_are_tight",
+    ),
+    (
+        "_ExactSum without the low half of each mantissa",
+        "expsums.py",
+        "self._total += ((int(hi[k]) << 26) + int(lo[k])) << k\n",
+        "self._total += (int(hi[k]) << 26) << k\n",
+        "tests/test_expsums.py::test_exact_sum_matches_fsum",
+    ),
+    (
+        "a scan slice without its last n",
+        "expsums.py",
+        "odd_prime_powers(a, b)",
+        "odd_prime_powers(a, b - 1)",
+        "tests/test_expsums.py::test_scan_rows_match_one_whole_row_sum",
+    ),
+    (
+        "a scan whose slice threads grow primes_up_to's cache",
+        "expsums.py",
+        "    primes_up_to(2 * math.isqrt(max(M for _, M, _ in rows)))\n",
+        "",
+        "tests/test_expsums.py::test_scan_threads_never_grow_the_prime_cache",
+    ),
+    (
+        "a bilinear t-block without its last t",
+        "expsums.py",
+        "np.minimum(hi, ts[-1] // ms)",
+        "np.minimum(hi, (ts[-1] - 2) // ms)",
+        "tests/test_expsums.py::test_bilinear_matches_loop_reference_in_small_t_blocks",
     ),
 ]
 

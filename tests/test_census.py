@@ -667,35 +667,37 @@ def test_basis_histogram_matches_jacobi_columns(case):
         assert all((mask & b).bit_count() % 2 == 0 for mask in counts)
 
 
-def test_census_rebuilds_rows_evicted_mid_run(monkeypatch):
+def test_census_builds_each_basis_row_at_most_once(monkeypatch):
     # the odd primes below 256 in six elements: their rows (~5.8k entries) pass
-    # a 4096-entry budget, so rows are evicted and earned again along the window
+    # a 4096-entry budget, so the census plans the rows that fit together and
+    # sends the other primes to the column; foreign rows make room for the plan
     odd = primes_up_to(256).astype(np.uint64)[1:].tolist()
     elements = tuple(math.prod(odd[i::6]) for i in range(6))
     assert all(s < 1 << 64 for s in elements)
     store = residues._JACOBI_ROWS
     store.clear()
-    builds, clears = [], []
-    build, clear = store._build, store.clear
+    builds = []
+    build = store._build
 
     def counted_build(m):
         builds.append(m)
         return build(m)
 
-    def counted_clear():
-        clears.append(len(store.rows))
-        clear()
-
     monkeypatch.setattr(residues, "ROW_BUDGET", 1 << 12)
-    monkeypatch.setattr(store, "_build", counted_build)
-    monkeypatch.setattr(store, "clear", counted_clear)
+    plan = census._basis(square_subset_family(elements)).rows
+    assert plan == residues.plan_rows(odd) and sum(plan) <= 1 << 12 < sum(odd)
     try:
+        for m in (1001, 2001):  # rows of the scalar path, outside the plan
+            for a in range(m):
+                residues.jacobi(a, m)
+        assert store.entries == 3002
+        monkeypatch.setattr(store, "_build", counted_build)
         report = run_census(CensusConfig(elements=elements, primes=PsPrimeRange(C1, 0, 120_000),
                                          block_size=4096))
-        assert store.entries <= 1 << 12
+        assert store.entries <= 1 << 12 and set(store.rows) == plan
     finally:
-        clear()
-    assert clears and len(builds) > len(set(builds))
+        store.clear()
+    assert sorted(builds) == sorted(plan)
     total, skipped, counts = _column_histogram(elements, primes_up_to(120_000).astype(np.uint64))
     assert (report.total_primes, report.skipped) == (total, skipped)
     assert report.pattern_counts == {_mask_key(m, 6): c for m, c in sorted(counts.items())}

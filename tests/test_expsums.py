@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import struct
+import sys
 import threading
 import tracemalloc
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from psqr import expsums
+from psqr import expsums, psprimes
 from psqr.errors import Overflow, PreconditionViolated
 from psqr.expsums import (
     L1,
@@ -533,3 +534,137 @@ def test_cancellation_scan_sieves_one_row_at_a_time():
         tracemalloc.stop()
     assert len(rep.rows) == 3
     assert peak < 8 << 20, peak
+
+
+def _row_sum(N, M, J, gamma, s):
+    """A row of the scan in one piece: the whole row's arrays, one fsum."""
+    exp = build_expansion(J)
+    ns, lam = odd_prime_powers(N, M)
+    diffs = exp.psi_star(-(ns.astype(np.float64) ** gamma)) - exp.psi_star(
+        -((ns + 1).astype(np.float64) ** gamma))
+    return math.fsum((lam * diffs * jacobi_column(s, ns)).tolist())
+
+
+@pytest.mark.parametrize("width, n_list", [
+    (1, [100, 301]),
+    (7, [1000, 3001]),  # slices end on odd primes (1021, 1049, ...), even n and, in L2, 7**3
+    (998, [1000, 3001]),
+    (expsums.SCAN_SLICE, [1000, (1 << 16) + 1]),
+])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_scan_rows_match_one_whole_row_sum(monkeypatch, width, n_list, threads):
+    monkeypatch.setattr(expsums, "SCAN_SLICE", width)
+    monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
+    gamma, s = 205 / 243, 15
+    rep = cancellation_scan(gamma, s, n_list, J=6)
+    for row in rep.rows:
+        want = _row_sum(row.N, row.M, 6, gamma, s)
+        assert struct.pack("d", row.value.real) == struct.pack("d", want), row
+    for s, value in ((3, L2(301, 500, 4, 0.9, 3)), (1, L1(301, 500, 4, 0.9))):
+        assert struct.pack("d", value) == struct.pack("d", _row_sum(301, 500, 4, 0.9, s))
+
+
+def test_scan_threads_never_grow_the_prime_cache(monkeypatch):
+    # more threads than cores and a short switch interval: a sum fills
+    # primes_up_to's cache before its threads start, so no slice grows it
+    monkeypatch.setattr(expsums, "SCAN_SLICE", 500)
+    sieve, grown, values = psprimes._segment_is_prime, [], []
+
+    def recording(lo, hi):
+        if lo == 0:
+            grown.append(threading.current_thread() is threading.main_thread())
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(psprimes, "_segment_is_prime", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (8, 1):
+            monkeypatch.setattr(psprimes, "_base_primes", np.array([2, 3, 5, 7], dtype=np.int64))
+            monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
+            values.append(struct.pack("d", L1(9001, 18_002, 3, 205 / 243)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert grown and all(grown)
+    assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("failing_slice", [0, 1, 5])
+def test_scan_slice_failure_propagates_and_joins(monkeypatch, failing_slice):
+    monkeypatch.setattr(expsums, "SCAN_SLICE", 1000)
+    monkeypatch.setattr(expsums, "usable_cpus", lambda: 3)
+    powers = expsums.odd_prime_powers
+
+    def failing(N, M):
+        if N == 10_000 + 1000 * failing_slice:
+            raise RuntimeError("slice failed")
+        return powers(N, M)
+
+    monkeypatch.setattr(expsums, "odd_prime_powers", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="slice failed"):
+        cancellation_scan(205 / 243, 3, [1000, 10_000], J=3)
+    assert threading.active_count() == before
+
+
+def test_cancellation_scan_memory_follows_its_slices(monkeypatch):
+    # a row of 2**21 n keeps only the slices in flight: 2 x threads of SCAN_SLICE n
+    monkeypatch.setattr(expsums, "usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        rep = cancellation_scan(205 / 243, 3, [1 << 21], J=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 1
+    assert peak < 2 << 20, peak
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("args", [
+    (100, 200, _just_below(200, 7.0), 7.0, 0, 10 / 11, 1),
+    (1281, 2240, 77.80704862972411, 20.628757364045583, 0, 0.6507101865073314, 3),
+    (700, 1500, 12.0, 9.5, 3, 205 / 243, 15),
+], ids=["tight-uv", "b-order", "every-sum"])
+def test_bilinear_matches_loop_reference_in_small_t_blocks(monkeypatch, block, args):
+    monkeypatch.setattr(expsums, "T_BLOCK", block)
+    got, want = bilinear_check(*args), _bilinear_loop(*args)
+    assert got == want and _bits(got) == _bits(want)
+
+
+_FINITE = st.floats(-(2.0**1017), 2.0**1017, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _float_chunks(draw):
+    """Finite float64 values in chunks: the values, near-negations of some of
+    them (heavy cancellation), and the chunk sizes they are added in."""
+    values = draw(st.lists(st.one_of(
+        _FINITE,
+        st.integers(-1074, -1000).map(lambda e: 2.0**e),  # subnormals and the smallest normals
+        st.integers(1000, 1017).map(lambda e: -(2.0**e)),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0**-53, -(2.0**-53), 5e-324, -5e-324]),
+    ), max_size=60))
+    for x in draw(st.lists(st.sampled_from(values), max_size=20)) if values else []:
+        values += [-x, draw(st.sampled_from([0.0, math.ulp(x), -math.ulp(x), x * 2.0**-60]))]
+    values = draw(st.permutations(values))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=8)))
+    return [values[a:b] for a, b in zip([0] + cuts, cuts + [len(values)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_chunks())
+@example([[]])
+@example([[-0.0], [-0.0, -0.0]])
+@example([[5e-324, -5e-324, 5e-324]])
+@example([[1.0, 2.0**-53]])  # a tie, to even
+@example([[1.0, 2.0**-53], [2.0**-105]])  # just above the tie
+@example([[3.0, 2.0**-52], [2.0**-53]])
+@example([[2.0**1017] * 60, [-(2.0**1017)] * 59, [1e-300]])
+@example([[1e-320] * 1000, [2.0**1016, -(2.0**1016)]])
+def test_exact_sum_matches_fsum(chunks):
+    total = expsums._ExactSum()
+    for chunk in chunks:
+        total.add(np.array(chunk, dtype=np.float64))
+    want = math.fsum(x for chunk in chunks for x in chunk)
+    assert struct.pack("d", total.value()) == struct.pack("d", want), chunks

@@ -1,5 +1,6 @@
 """Jacobi symbols, the Euler oracle, and sign patterns."""
 
+import math
 import os
 import random
 import subprocess
@@ -34,9 +35,14 @@ def test_jacobi_validation():
 
 
 def test_jacobi_zero_iff_common_factor():
-    assert jacobi(21, 35) == 0
-    assert jacobi(0, 9) == 0
     assert jacobi(0, 1) == 1  # empty modulus convention
+    # two sweeps of every residue: the first earns each modulus its row, which
+    # the second reads
+    for m in (9, 35, 45, 3 * 5 * 7 * 11):
+        for _ in range(2):
+            assert [a for a in range(-m, m) if jacobi(a, m) == 0] == [
+                a for a in range(-m, m) if math.gcd(a, m) > 1]
+        assert m in residues._JACOBI_ROWS.rows
 
 
 def test_jacobi_negative_and_periodic():
