@@ -13,6 +13,8 @@ __version__ = "0.1.0"
 
 import os
 import sys
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from importlib import import_module
 
 # psqr makes no BLAS call, but OpenBLAS starts a spinning thread per CPU as
@@ -50,9 +52,42 @@ __all__ = sorted(_HOME)
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: the psi* sweep's thread count, before its
-    caps, and the run manifest's env.cpus."""
+    """CPUs this process may run on: the expsum thread count, before its caps,
+    and the run manifest's env.cpus."""
     return len(os.sched_getaffinity(0))
+
+
+def in_order(fn: Callable, tasks: Iterable, workers: int, processes: bool = False) -> Iterator:
+    """fn(task) for each task, lazily and in task order: in this process at
+    workers <= 1, else on one pool of workers threads (or processes) with at
+    most 2 x workers tasks in flight. A task's exception is re-raised, a
+    broken pool raises ResourceLimit, and however the run ends the queued
+    tasks are cancelled and the workers joined."""
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    # concurrent.futures, and multiprocessing for processes, load only for a pool
+    from concurrent.futures import BrokenExecutor
+    if processes:
+        from concurrent.futures.process import ProcessPoolExecutor as Pool
+    else:
+        from concurrent.futures.thread import ThreadPoolExecutor as Pool
+
+    pool = Pool(workers)
+    try:
+        in_flight = deque()
+        for task in tasks:
+            in_flight.append(pool.submit(fn, task))
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    except BrokenExecutor as exc:
+        from .errors import ResourceLimit
+
+        raise ResourceLimit("a census worker process died") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def __getattr__(name: str):

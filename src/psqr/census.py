@@ -6,7 +6,8 @@ decimal prime per line, ascending, '#' comments). Plain primes are the
 window at c = 1, whose floors are n itself. Work streams, in block order,
 through fixed blocks of at most MAX_BLOCK_SIZE n or primes
 (PsPrimeRange.blocks or prime_file_blocks), so memory does not grow with the
-input and reports are byte-identical for any thread count; census_workers
+input and reports are byte-identical for any thread count. The blocks run
+through psqr.in_order, in this process or on a process pool; census_workers
 sizes a window's pool by psprimes.primality_tier, prime_flags' tier rule and
 cost table. Every block hands its primes to the histogram as one uint64
 array: psprimes.ps_prime_array's floors, or a verified block of the file.
@@ -27,15 +28,13 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    BadPrimeFile, Overflow, PreconditionViolated, ResourceLimit, SetTooLarge, WindowTooSmall,
-)
+from . import in_order
+from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
 from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, dominates, parity_analysis
 from .psprimes import (
@@ -235,32 +234,6 @@ def census_workers(window: PsPrimeRange, block_size: int, threads: int) -> int:
     return min(threads, blocks)
 
 
-def _run_blocks(fn: Callable, tasks: Iterable, workers: int) -> Iterator:
-    """fn over tasks, lazily and in task order: map at workers == 1, else one
-    process pool with at most 2 x workers tasks in flight, whose queued tasks
-    are cancelled and workers joined however the run ends. A worker that dies
-    raises ResourceLimit."""
-    if workers == 1:
-        yield from map(fn, tasks)
-        return
-    # multiprocessing is imported only by a run that forks
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        in_flight = deque()
-        for task in tasks:
-            in_flight.append(executor.submit(fn, task))
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-    except BrokenProcessPool as exc:
-        raise ResourceLimit("a census worker process died") from exc
-    finally:
-        executor.shutdown(cancel_futures=True)
-
-
 def run_census(config: CensusConfig) -> CensusReport:
     """Exact pattern census; a pure function of its config, any thread count."""
     if len(config.elements) > PATTERN_SET_CAP:
@@ -293,7 +266,7 @@ def run_census(config: CensusConfig) -> CensusReport:
 
     basis = _basis(prediction.family)
     tasks = ((basis, block) for block in blocks)
-    partials = _run_blocks(_census_block, tasks, workers)
+    partials = in_order(_census_block, tasks, workers, processes=True)
     total = 0
     skipped = 0
     mask_counts: dict[int, int] = {}

@@ -12,11 +12,11 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import usable_cpus
+from . import in_order, usable_cpus
 from .errors import Overflow, PreconditionViolated
 from .kernels import factorize
 from .psprimes import _segment_is_prime, primes_up_to
@@ -39,30 +39,6 @@ MAX_PSI_STAR_THREADS = 32
 SCAN_SLICE = 1 << 16
 PAIR_SLICE = 1 << 13  # (m, n) pairs of a bilinear sum formed at once
 T_BLOCK = 1 << 13  # odd t = m n whose phases a bilinear check forms at once
-
-
-def _in_order(fn: Callable, tasks: Iterable[tuple]) -> Iterator:
-    """fn(*task) for each task, lazily and in task order, on one pool of up to
-    usable_cpus() threads (at most MAX_PSI_STAR_THREADS) with at most 2 x
-    threads tasks in flight; a task's exception is re-raised, and the queued
-    tasks are cancelled and the threads joined however the run ends."""
-    threads = min(usable_cpus(), MAX_PSI_STAR_THREADS)
-    if threads == 1:
-        yield from itertools.starmap(fn, tasks)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(threads)
-    try:
-        in_flight = deque()
-        for task in tasks:
-            in_flight.append(pool.submit(fn, *task))
-            if len(in_flight) == 2 * threads:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def psi(x: float) -> float:
@@ -92,8 +68,9 @@ class TruncatedExpansion:
 
         Arguments are reduced mod 1 and reflected into [0, 1/2] (the series is
         odd around integers), keeping every sine argument well conditioned.
-        Chunks of CHUNK arguments are swept on up to usable_cpus() threads
-        (_in_order), joined before return; each value is the same for any count.
+        Chunks of CHUNK arguments are swept through in_order on up to
+        usable_cpus() threads, at most MAX_PSI_STAR_THREADS and no more than
+        the chunks, joined before return; each value is the same for any count.
         """
         x = np.asarray(x, dtype=np.float64)
         w = np.mod(x.reshape(-1), 1.0)
@@ -102,10 +79,8 @@ class TruncatedExpansion:
         acc = np.zeros_like(w)
         term = np.empty_like(w)  # allocated here, so the threads allocate nothing
         chunks = [slice(k, k + CHUNK) for k in range(0, w.size, CHUNK)]
-        if len(chunks) > 1:
-            deque(_in_order(self._sweep, ((w[c], acc[c], term[c]) for c in chunks)), 0)
-        else:  # one chunk sweeps inline: a scan slice runs on the scan's own pool
-            self._sweep(w, acc, term)
+        workers = min(usable_cpus(), MAX_PSI_STAR_THREADS, len(chunks))
+        deque(in_order(lambda c: self._sweep(w[c], acc[c], term[c]), chunks, workers), 0)
         np.negative(acc, out=acc, where=flip)
         acc = acc.reshape(x.shape)
         return acc if acc.ndim else float(acc)
@@ -337,19 +312,18 @@ def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Itera
     """For each (N, M, J) of rows, in order: the sum of Lambda(n) (s/n)
     (psi*(-n**gamma) - psi*(-(n+1)**gamma)) over the odd prime powers n in
     (N, M], psi* of truncation J. Rows run as slices of SCAN_SLICE n, each
-    sieving its own n, on one thread pool for all rows (_in_order); fsum is
-    exact, so a row's value is the same for any slicing and thread count.
+    sieving its own n, through in_order on one thread pool for all rows, so a
+    slice's psi* (one chunk) runs on its own thread; fsum is exact, so a
+    row's value is the same for any slicing and thread count.
     """
-    # a cached prime above every slice's isqrt(M) (Bertrand), so no thread grows the cache
-    primes_up_to(2 * math.isqrt(max(M for _, M, _ in rows)))
-
     def slices() -> Iterator[tuple]:
         for row, (N, M, J) in enumerate(rows):
             exp = build_expansion(J)
             for a in range(N, M, SCAN_SLICE):
                 yield row, exp, a, min(a + SCAN_SLICE, M)
 
-    def terms(row: int, exp: TruncatedExpansion, a: int, b: int) -> tuple[int, list[float]]:
+    def terms(task: tuple) -> tuple[int, list[float]]:
+        row, exp, a, b = task
         ns, lam = odd_prime_powers(a, b)  # the sums run over odd integers only
         x, x1 = ns.astype(np.float64), (ns + 1).astype(np.float64)
         contrib = lam * (exp.psi_star(-(x**gamma)) - exp.psi_star(-(x1**gamma)))
@@ -357,7 +331,8 @@ def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Itera
             contrib *= jacobi_column(s, ns)
         return row, contrib.tolist()
 
-    for _, parts in itertools.groupby(_in_order(terms, slices()), key=lambda part: part[0]):
+    workers = min(usable_cpus(), MAX_PSI_STAR_THREADS)
+    for _, parts in itertools.groupby(in_order(terms, slices(), workers), key=lambda part: part[0]):
         yield math.fsum(itertools.chain.from_iterable(part for _, part in parts))
 
 
@@ -567,8 +542,8 @@ def cancellation_scan(
     gamma: float, s: int, N_list: Sequence[int], J: int | None = None
 ) -> ExpSumReport:
     """Table of |L2(N, 2N)| / N**gamma across increasing N (dyadic in practice),
-    2 max(N) <= MAX_SIEVE; the rows stream through one thread pool in slices
-    of SCAN_SLICE n (_l_sums)."""
+    2 max(N) <= MAX_SIEVE; the rows stream through one thread pool (in_order)
+    in slices of SCAN_SLICE n (_l_sums)."""
     if not 0.5 < gamma <= 1.0:
         raise PreconditionViolated(f"need 1/2 < gamma <= 1, got {gamma}")
     _require_squarefree(s)

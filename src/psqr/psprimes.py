@@ -84,17 +84,20 @@ def is_prime(m: int) -> bool:
 
 # -- prime sieves ------------------------------------------------------------
 
-_base_primes = np.array([2, 3, 5, 7], dtype=np.int64)
+# (sieved limit, the primes up to it), replaced whole, so any thread may grow it
+_sieved = (10, np.array([2, 3, 5, 7], dtype=np.int64))
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending (cached, grows monotonically)."""
-    global _base_primes
-    if limit > int(_base_primes[-1]):
+    """All primes <= limit, ascending (cached; a miss sieves past twice the cached limit)."""
+    global _sieved
+    sieved, primes = _sieved  # read once: another thread may replace the pair
+    if limit > sieved:
         # the segment sieve of [0, n] asks for the primes up to isqrt(n) first
-        _base_primes = np.flatnonzero(_segment_is_prime(0, max(limit, 2 * int(_base_primes[-1]))))
-    cut = np.searchsorted(_base_primes, limit, side="right")
-    return _base_primes[:cut]
+        sieved = max(limit, 2 * sieved)
+        primes = np.flatnonzero(_segment_is_prime(0, sieved))
+        _sieved = sieved, primes
+    return primes[: np.searchsorted(primes, limit, side="right")]
 
 
 def _segment_is_prime(lo: int, hi: int) -> np.ndarray:

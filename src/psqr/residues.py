@@ -86,13 +86,13 @@ def jacobi_column(s: int, ns: np.ndarray | Sequence[int]) -> np.ndarray:
     if not 1 <= s <= 1 << 64:
         raise PreconditionViolated(f"column numerators run over 1..2**64, got {s}")
     ns = np.asarray(ns, dtype=np.uint64)
-    if not (ns & 1).all():
-        raise EvenModulus("Jacobi moduli must be odd and positive")
     e = (s & -s).bit_length() - 1
     t = np.uint64(s >> e)
     out = np.empty(ns.size, dtype=np.int8)
     for lo in range(0, ns.size, COLUMN_CHUNK):
         n = ns[lo : lo + COLUMN_CHUNK]
+        if not (n & 1).all():  # checked by chunk, so no temporary spans ns
+            raise EvenModulus("Jacobi moduli must be odd and positive")
         col = out[lo : lo + COLUMN_CHUNK]
         where = np.arange(n.size)  # positions of the moduli still reducing
         sign = np.ones(n.size, dtype=np.int8)

@@ -120,11 +120,30 @@ MUTANTS = [
         "tests/test_expsums.py::test_scan_rows_match_one_whole_row_sum",
     ),
     (
-        "a scan whose slice threads grow primes_up_to's cache",
-        "expsums.py",
-        "    primes_up_to(2 * math.isqrt(max(M for _, M, _ in rows)))\n",
-        "",
-        "tests/test_expsums.py::test_scan_threads_never_grow_the_prime_cache",
+        "primes_up_to answers from the module global, read back after growing",
+        "psprimes.py",
+        '    return primes[: np.searchsorted(primes, limit, side="right")]\n',
+        '    cut = np.searchsorted(primes, limit, side="right")\n    return _sieved[1][:cut]\n',
+        "tests/test_psprimes.py::test_prime_cache_grows_safely_from_many_threads",
+    ),
+    (
+        "in_order submits every task before it yields",
+        "__init__.py",
+        "            if len(in_flight) == 2 * workers:\n",
+        "            if False:\n",
+        "tests/test_in_order.py::test_at_most_two_tasks_per_worker_in_flight",
+    ),
+    (
+        "in_order yields in completion order",
+        "__init__.py",
+        "    from concurrent.futures import BrokenExecutor\n",
+        "    from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, wait\n\n"
+        "    class deque(list):  # pops the first task done\n"
+        "        def popleft(self):\n"
+        "            done = next(iter(wait(self, return_when=FIRST_COMPLETED).done))\n"
+        "            self.remove(done)\n"
+        "            return done\n",
+        "tests/test_in_order.py::test_results_come_in_task_order",
     ),
     (
         "a bilinear t-block without its last t",

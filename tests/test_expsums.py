@@ -564,28 +564,20 @@ def test_scan_rows_match_one_whole_row_sum(monkeypatch, width, n_list, threads):
         assert struct.pack("d", value) == struct.pack("d", _row_sum(301, 500, 4, 0.9, s))
 
 
-def test_scan_threads_never_grow_the_prime_cache(monkeypatch):
-    # more threads than cores and a short switch interval: a sum fills
-    # primes_up_to's cache before its threads start, so no slice grows it
+def test_l1_from_an_empty_prime_cache_same_for_any_thread_count(monkeypatch):
+    # more threads than cores and a short switch interval: the slice threads
+    # grow primes_up_to's cache from empty while they sum
     monkeypatch.setattr(expsums, "SCAN_SLICE", 500)
-    sieve, grown, values = psprimes._segment_is_prime, [], []
-
-    def recording(lo, hi):
-        if lo == 0:
-            grown.append(threading.current_thread() is threading.main_thread())
-        return sieve(lo, hi)
-
-    monkeypatch.setattr(psprimes, "_segment_is_prime", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    values = []
     try:
         for threads in (8, 1):
-            monkeypatch.setattr(psprimes, "_base_primes", np.array([2, 3, 5, 7], dtype=np.int64))
+            monkeypatch.setattr(psprimes, "_sieved", (10, np.array([2, 3, 5, 7], dtype=np.int64)))
             monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
             values.append(struct.pack("d", L1(9001, 18_002, 3, 205 / 243)))
     finally:
         sys.setswitchinterval(interval)
-    assert grown and all(grown)
     assert values[0] == values[1]
 
 

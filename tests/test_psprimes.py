@@ -4,6 +4,8 @@ import bisect
 import decimal
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -214,6 +216,54 @@ def test_primes_in_range_segmented():
     assert primes_in_range(10**4, 10**5, block_size=3000) == want
     blocks = list(PsPrimeRange(RationalExponent(1, 1), 10**4, 10**5).blocks(3000))
     assert [b[1:] for b in blocks] == [(lo, min(lo + 3000, 10**5)) for lo in range(10**4, 10**5, 3000)]
+
+
+def _empty_prime_cache():
+    return 10, np.array([2, 3, 5, 7], dtype=np.int64)
+
+
+def test_prime_cache_grows_safely_from_many_threads(monkeypatch):
+    # 8 threads grow the cache at once, each to its own limit, at a short
+    # switch interval: every list they get is the reference sieve's
+    top = 200_000
+    flags = np.ones(top + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    want = np.flatnonzero(flags)
+    rng = random.Random(25)
+    wrong = []
+
+    def check(limit):
+        got = primes_up_to(limit)
+        if not np.array_equal(got, want[: np.searchsorted(want, limit, side="right")]):
+            wrong.append(limit)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(300):
+            monkeypatch.setattr(psprimes, "_sieved", _empty_prime_cache())
+            threads = [threading.Thread(target=check, args=(rng.randrange(top),)) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_prime_cache_sieves_each_limit_once(monkeypatch):
+    monkeypatch.setattr(psprimes, "_sieved", _empty_prime_cache())
+    primes_up_to(11)  # sieves [0, 20], which holds the base primes of [0, 134]
+    sieve, sieved = psprimes._segment_is_prime, []
+    monkeypatch.setattr(psprimes, "_segment_is_prime", lambda lo, hi: sieved.append((lo, hi)) or sieve(lo, hi))
+    for _ in range(2):
+        assert primes_up_to(134).tolist()[-3:] == [113, 127, 131]
+    assert sieved == [(0, 134)]
 
 
 def test_ps_stream_examples():

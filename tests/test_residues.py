@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,25 @@ def test_jacobi_column_validation():
         with pytest.raises(PreconditionViolated):
             jacobi_column(s, [5])
     assert jacobi_column(5, []).size == 0
+    # the only even modulus lies in the second chunk
+    ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
+    ns[residues.COLUMN_CHUNK + 5] += 1
+    with pytest.raises(EvenModulus):
+        jacobi_column(3, ns)
+
+
+def test_jacobi_column_memory_follows_its_chunks():
+    # 203,999 odd moduli (1.6 MB): beyond its int8 output, a column traces
+    # only one chunk's working set, however many moduli it is given
+    ns = np.arange(3, 408_000, 2, dtype=np.uint64)
+    jacobi_column(3, ns[:10])
+    tracemalloc.start()
+    try:
+        jacobi_column(3, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, peak
 
 
 # -- prime numerators from rows ------------------------------------------------
