@@ -16,11 +16,12 @@ Symbols come from the set's odd-exponent prime basis, read off the
 factorizations the square-subset family already holds, so each element is
 factored once per census: (s/p) = -1 exactly when an odd number of the primes
 q dividing s to an odd power have (q/p) = -1. Each block takes one
-residues.symbol_bits column per basis prime and XORs it into the pattern mask
-of every element that q divides to an odd power. Every mask is therefore a
-sum of columns of the exponent matrix, so patterns outside the prediction's
-support (its structural zeros) cannot be counted. A prime dividing any
-element, or p = 2, is skipped.
+residues.symbol_bits column per basis prime, read from q's row when the
+census's row plan holds q, and XORs it into the pattern mask of every element
+that q divides to an odd power. Every mask is therefore a sum of columns of
+the exponent matrix, so patterns outside the prediction's support (its
+structural zeros) cannot be counted. A prime dividing any element, or p = 2,
+is skipped.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ class _Basis:
     flips: (q, positions) for each prime q dividing some element to an odd
     power, ascending in q; bit i of positions is set when q divides element i
     to an odd power. divisors: every prime dividing some element. rows: the
-    q whose symbols take rows (residues.plan_rows), planned once per census.
+    census's row plan (residues.plan_rows), the q whose symbols gather from
+    rows; each process builds a planned row once, as its first block needs it.
     """
 
     flips: tuple[tuple[int, int], ...]

@@ -10,31 +10,29 @@ symbol_bits serves a prime numerator q, which is all a census needs: (s/p) is
 the product of (q/p) over the primes q dividing s to an odd power. For odd q,
 reciprocity turns (q/p) into ((p mod q)/q) and a sign read off p and q mod 4,
 so a whole column is one gather into q's row (the Legendre symbol mod q). A
-prime q above ROW_BUDGET/16, or one that has not yet earned its row, takes
-jacobi_column. A run over many primes q (a census's basis) plans its rows once
-(plan_rows): the primes whose rows fit in ROW_BUDGET together take rows, and
-the rest take jacobi_column, so no planned row evicts another.
+census plans its basis's rows once (plan_rows): the odd primes up to
+ROW_BUDGET/16 whose rows fit in ROW_BUDGET together take rows, and the rest
+take jacobi_column. The rows belong to the plan: they are built as
+symbol_bits first needs each, at most once per process per plan, and the
+rows of one plan at a time are kept (_planned_rows).
 
 The scalar routines serve the other traffic, every residue of one small
 modulus (criterion 10's sweep). Odd moduli below ROW_CAP are served from
 per-modulus rows: a row holds the symbol of every residue 0 <= a < m, one
 byte per entry.
 
-* Amortisation: nothing is built at import. A modulus m gets its row only
-  once it has served m/8 symbols without one, counted across calls (one per
-  scalar call, one per modulus of a symbol_bits column), so building costs at
-  most eight entries per symbol served, and moduli met a few times never pay
-  for a table.
-* Memory: each of the two stores holds at most ROW_BUDGET entries (bytes)
-  and is cleared when a new row would pass that bound (but for the rows of a
-  plan_rows plan, which fit together), so the rows of both never take more
-  than 2 * ROW_BUDGET bytes (8 MiB).
-* One store of Jacobi rows: jacobi's rows below ROW_CAP and symbol_bits' rows
-  at prime moduli up to ROW_BUDGET/16 come from one builder, _jacobi_row,
-  and share _JACOBI_ROWS, its call counts and its budget. Rows are built from
-  the squares modulo each prime factor of m, combined by multiplicativity, so
-  they hold the Jacobi symbol at composite and prime-power moduli too.
-  Moduli at or above ROW_CAP, and those with no row yet, take _jacobi_loop.
+* Building: nothing is built at import. A modulus gets its scalar row when
+  two calls in a row that no row served ask for it, so a sweep builds its
+  row on its second call and scattered moduli never pay for a table.
+* Memory: a plan's rows fit in ROW_BUDGET bytes, and each scalar store is
+  cleared when it holds SCALAR_ROWS rows of fewer than ROW_CAP bytes each,
+  so the rows of all stores never take more than 2 * ROW_BUDGET bytes
+  (8 MiB).
+* One builder of Jacobi rows: jacobi's rows and a plan's rows come from
+  _jacobi_row. Rows are built from the squares modulo each prime factor of
+  m, combined by multiplicativity, so they hold the Jacobi symbol at
+  composite and prime-power moduli too. Moduli at or above ROW_CAP, and
+  those with no row, take _jacobi_loop.
 * legendre_euler's rows are a**((p-1)/2) mod p itself, exponentiated for all
   a at once. They never read jacobi's rows, so Euler's criterion stays an
   independent oracle; without a row it is scalar pow.
@@ -42,10 +40,11 @@ byte per entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +52,9 @@ from .errors import EvenModulus, NotPrime, PreconditionViolated
 from .kernels import factorize
 from .psprimes import is_prime
 
-ROW_CAP = 1 << 14      # rows serve odd moduli below this
-ROW_BUDGET = 1 << 22   # entries one row store holds before it is cleared
+ROW_CAP = 1 << 14      # scalar rows serve odd moduli below this
+ROW_BUDGET = 1 << 22   # row entries (bytes) of one plan, and of both scalar stores together
+SCALAR_ROWS = ROW_BUDGET // (2 * ROW_CAP)  # rows one scalar store holds before it is cleared
 COLUMN_CHUNK = 1 << 14  # moduli jacobi_column reduces at once
 
 
@@ -114,39 +114,6 @@ def jacobi_column(s: int, ns: np.ndarray | Sequence[int]) -> np.ndarray:
     return out
 
 
-class _RowStore:
-    """Symbol rows for odd moduli below ROW_CAP, built on demand by `build`."""
-
-    def __init__(self, build: Callable[[int], array]):
-        self.rows: dict[int, array] = {}
-        self.calls: dict[int, int] = {}
-        self.entries = 0
-        self._build = build
-
-    def row_after(self, m: int, served: int = 1, keep: Collection[int] = ()) -> Optional[array]:
-        """Count `served` symbols at odd m, which has no row; return m's row
-        once m has served m/8 symbols in all, else None. A row that would pass
-        ROW_BUDGET first clears the store but for the rows of keep."""
-        calls = self.calls.get(m, 0) + served
-        if calls << 3 < m:
-            self.calls[m] = calls
-            return None
-        self.calls.pop(m, None)  # a row rebuilt after a clear pays again
-        if self.entries + m > ROW_BUDGET:
-            self.clear(keep)
-        row = self.rows[m] = self._build(m)
-        self.entries += m
-        return row
-
-    def clear(self, keep: Collection[int] = ()) -> None:
-        """Drop every call count, and every row but those of keep."""
-        kept = {m: self.rows[m] for m in keep if m in self.rows}
-        self.rows.clear()
-        self.rows.update(kept)
-        self.calls.clear()
-        self.entries = sum(map(len, kept.values()))
-
-
 def _jacobi_row(m: int) -> array:
     """(a/m) for 0 <= a < m: the squares mod each prime p | m give (a/p), and
     (a/m) is the product of (a/p)**k over the prime powers p**k dividing m.
@@ -178,53 +145,68 @@ def _euler_row(p: int) -> array:
     return array("b", power.astype(np.int8).tobytes())
 
 
-_JACOBI_ROWS = _RowStore(_jacobi_row)
-_EULER_ROWS = _RowStore(_euler_row)
-_jacobi_rows = _JACOBI_ROWS.rows  # read directly on the hot paths
-_euler_rows = _EULER_ROWS.rows
+class _ScalarRows(dict):
+    """One scalar routine's symbol rows, by modulus below ROW_CAP."""
+
+    def __init__(self, build: Callable[[int], array]):
+        super().__init__()
+        self.build = build
+        self.last = 0  # the modulus of the last call no row served
+
+    def new_row(self, m: int) -> Optional[array]:
+        """m's row, built now if m < ROW_CAP and the last call no row served
+        also asked for m, else None. A full store is cleared before it takes
+        another row."""
+        if m != self.last or m >= ROW_CAP:
+            self.last = m
+            return None
+        if len(self) >= SCALAR_ROWS:
+            self.clear()
+        row = self[m] = self.build(m)
+        return row
+
+
+_jacobi_rows = _ScalarRows(_jacobi_row)
+_euler_rows = _ScalarRows(_euler_row)
 
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1; 0 iff gcd(a, n) > 1.
 
-    A symbol row below ROW_CAP once the modulus has earned one, else the
-    binary reciprocity reduction. Negative and out-of-range numerators fold
-    in through periodicity mod n.
+    A read of n's symbol row once two calls in a row have asked for n below
+    ROW_CAP, else the binary reciprocity reduction. Negative and out-of-range
+    numerators fold in through periodicity mod n.
     """
     row = _jacobi_rows.get(n)
     if row is not None:
         return row[a % n]
     if n < 1 or not n & 1:
         raise EvenModulus(f"Jacobi modulus must be odd and positive, got {n}")
-    a %= n
-    if n < ROW_CAP:
-        row = _JACOBI_ROWS.row_after(n)
-        if row is not None:
-            return row[a]
-    return _jacobi_loop(a, n)
-
-
-_prime_verdicts: dict[int, bool] = {}
-
-
-def _odd_prime(p: int) -> bool:
-    ok = _prime_verdicts.get(p)
-    if ok is None:
-        ok = p > 2 and bool(p & 1) and is_prime(p)
-        if len(_prime_verdicts) > (1 << 20):
-            _prime_verdicts.clear()
-        _prime_verdicts[p] = ok
-    return ok
+    row = _jacobi_rows.new_row(n)
+    return _jacobi_loop(a % n, n) if row is None else row[a % n]
 
 
 def plan_rows(primes: Iterable[int]) -> frozenset[int]:
     """The primes of one run whose symbol_bits columns may take rows: the odd
     primes up to ROW_BUDGET/16, smallest first, while their rows fit in
-    ROW_BUDGET together. A planned row evicts only rows outside the plan, so
-    a run builds each of its rows at most once; the other primes take
-    jacobi_column."""
-    qs = sorted(q for q in primes if 2 < q <= ROW_BUDGET >> 4)  # 16 such rows fit
+    ROW_BUDGET together; the other primes take jacobi_column. Raises NotPrime
+    if any of primes is not prime, so symbol_bits trusts the primes of a plan."""
+    primes = sorted(set(primes))
+    for q in primes:
+        if not is_prime(q):
+            raise NotPrime(f"symbol rows are planned for primes, got {q}")
+    qs = [q for q in primes if 2 < q <= ROW_BUDGET >> 4]  # 16 such rows fit
     return frozenset(q for q, entries in zip(qs, itertools.accumulate(qs)) if entries <= ROW_BUDGET)
+
+
+@functools.lru_cache(maxsize=1)
+def _planned_rows(plan: frozenset[int]) -> dict[int, np.ndarray]:
+    """The rows of the latest plan, each built on its first use: one plan's
+    rows are built once per process, and only its rows are kept."""
+    return {}
+
+
+_TWO_ROW = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)  # (2/n) by n mod 8
 
 
 def symbol_bits(q: int, ns: np.ndarray, plan: Optional[frozenset[int]] = None) -> np.ndarray:
@@ -232,30 +214,35 @@ def symbol_bits(q: int, ns: np.ndarray, plan: Optional[frozenset[int]] = None) -
 
     (2/n) reads n mod 8. For odd q and n, reciprocity gives (q/n) = ((n mod
     q)/q), negated when q and n are both 3 mod 4 (and 0 when q divides n): one
-    gather into q's row once q has served q/8 moduli (counted across calls),
-    else the column. Only the primes of plan take rows; no plan is q's own,
-    plan_rows((q,)).
+    gather into q's row when q is in plan (a plan_rows plan; no plan is q's
+    own, plan_rows((q,))), else jacobi_column. Moduli are worked COLUMN_CHUNK
+    at a time, so no temporary spans ns.
     """
-    if not (ns & 1).all():
-        raise EvenModulus("Jacobi moduli must be odd and positive")
-    if q == 2:
-        r = ns & 7
-        return (r == 3) | (r == 5)
-    if not _odd_prime(q):
-        raise NotPrime(f"symbol_bits needs a prime numerator, got {q}")
     if plan is None:
         plan = plan_rows((q,))
-    row = None
-    if q in plan:
-        row = _jacobi_rows.get(q)
+    if q == 2:
+        row, m = _TWO_ROW, 8
+    elif q in plan:
+        rows = _planned_rows(plan)
+        row, m = rows.get(q), q
         if row is None:
-            row = _JACOBI_ROWS.row_after(q, ns.size, plan)
-    if row is None:
-        return jacobi_column(q, ns) < 0
-    symbols = np.frombuffer(row, dtype=np.int8)[ns % q]
-    bits = symbols < 0
-    if q & 3 == 3:
-        bits ^= (ns & 3 == 3) & (symbols != 0)
+            row = rows[q] = np.frombuffer(_jacobi_row(q), dtype=np.int8)
+    elif is_prime(q):
+        row = None
+    else:
+        raise NotPrime(f"symbol_bits needs a prime numerator, got {q}")
+    bits = np.empty(ns.size, dtype=bool)
+    for lo in range(0, ns.size, COLUMN_CHUNK):
+        n, out = ns[lo : lo + COLUMN_CHUNK], bits[lo : lo + COLUMN_CHUNK]
+        if row is None:
+            np.less(jacobi_column(q, n), 0, out=out)
+            continue
+        if not (n & 1).all():
+            raise EvenModulus("Jacobi moduli must be odd and positive")
+        symbols = row[n % m]
+        np.less(symbols, 0, out=out)
+        if q & 3 == 3:
+            out ^= (n & 3 == 3) & (symbols != 0)
     return bits
 
 
@@ -263,17 +250,17 @@ def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion a**((p-1)/2) mod p.
 
     Independent oracle for jacobi at odd prime moduli: below ROW_CAP it is
-    served by rows of the same power, never by jacobi's rows.
+    served by rows of the same power, built as jacobi's are, never by
+    jacobi's rows.
     """
     row = _euler_rows.get(p)
     if row is not None:
         return row[a % p]
-    if not _odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise NotPrime(f"Euler's criterion needs an odd prime, got {p}")
-    if p < ROW_CAP:
-        row = _EULER_ROWS.row_after(p)
-        if row is not None:
-            return row[a % p]
+    row = _euler_rows.new_row(p)
+    if row is not None:
+        return row[a % p]
     r = pow(a, (p - 1) >> 1, p)
     return r - p if r > 1 else r
 
@@ -292,7 +279,7 @@ class SignPattern:
 
 def pattern_at(S: Sequence[int], p: int) -> Optional[SignPattern]:
     """Sign pattern of S at odd prime p, or None when p divides some element."""
-    if not _odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise NotPrime(f"sign patterns are defined at odd primes, got {p}")
     elements = tuple(int(s) for s in S)
     signs = []

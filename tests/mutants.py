@@ -78,11 +78,25 @@ MUTANTS = [
         "tests/test_census.py::test_window_validation",
     ),
     (
-        "a planned row evicts the rows of its plan",
+        "_planned_rows without its cache",
         "residues.py",
-        "        kept = {m: self.rows[m] for m in keep if m in self.rows}\n",
-        "        kept = {}\n",
+        "@functools.lru_cache(maxsize=1)\n",
+        "",
         "tests/test_census.py::test_census_builds_each_basis_row_at_most_once",
+    ),
+    (
+        "a full scalar store is never cleared",
+        "residues.py",
+        "        if len(self) >= SCALAR_ROWS:\n            self.clear()\n",
+        "",
+        "tests/test_residues.py::test_row_stores_stay_within_budget",
+    ),
+    (
+        "jacobi_column without its reciprocity flip",
+        "residues.py",
+        "            flip ^= a & n & 3 == 3\n",
+        "",
+        "tests/test_residues.py::test_jacobi_column_matches_reference_loop",
     ),
     (
         "plan_rows plans past ROW_BUDGET",

@@ -644,23 +644,22 @@ def _census_case(draw):
 def test_basis_histogram_matches_jacobi_columns(case):
     elements, primes, block, budget = case
     default = residues.ROW_BUDGET
-    residues._JACOBI_ROWS.clear()
     if budget is not None:
         residues.ROW_BUDGET = budget
     try:
         basis = census._basis(square_subset_family(elements))
         total = skipped = 0
         counts: dict[int, int] = {}
-        for i in range(0, primes.size, block):  # rows are earned across blocks
+        for i in range(0, primes.size, block):  # the plan's rows serve every block
             b_total, b_skipped, b_counts = census._count_patterns(basis, primes[i : i + block])
             total += b_total
             skipped += b_skipped
             for mask, cnt in b_counts.items():
                 counts[mask] = counts.get(mask, 0) + cnt
-        assert residues._JACOBI_ROWS.entries <= residues.ROW_BUDGET
+        rows = residues._planned_rows(basis.rows)
+        assert set(rows) <= basis.rows and sum(map(len, rows.values())) <= residues.ROW_BUDGET
     finally:
         residues.ROW_BUDGET = default
-        residues._JACOBI_ROWS.clear()
     assert (total, skipped, counts) == _column_histogram(elements, primes)
     # every observed pattern pairs evenly with the square-subset kernel
     for b in square_subset_family(elements).kernel_basis:
@@ -670,14 +669,13 @@ def test_basis_histogram_matches_jacobi_columns(case):
 def test_census_builds_each_basis_row_at_most_once(monkeypatch):
     # the odd primes below 256 in six elements: their rows (~5.8k entries) pass
     # a 4096-entry budget, so the census plans the rows that fit together and
-    # sends the other primes to the column; foreign rows make room for the plan
+    # sends the other primes to the column; two censuses of the set, 30 blocks
+    # each, build each planned row once
     odd = primes_up_to(256).astype(np.uint64)[1:].tolist()
     elements = tuple(math.prod(odd[i::6]) for i in range(6))
     assert all(s < 1 << 64 for s in elements)
-    store = residues._JACOBI_ROWS
-    store.clear()
     builds = []
-    build = store._build
+    build = residues._jacobi_row
 
     def counted_build(m):
         builds.append(m)
@@ -686,17 +684,13 @@ def test_census_builds_each_basis_row_at_most_once(monkeypatch):
     monkeypatch.setattr(residues, "ROW_BUDGET", 1 << 12)
     plan = census._basis(square_subset_family(elements)).rows
     assert plan == residues.plan_rows(odd) and sum(plan) <= 1 << 12 < sum(odd)
-    try:
-        for m in (1001, 2001):  # rows of the scalar path, outside the plan
-            for a in range(m):
-                residues.jacobi(a, m)
-        assert store.entries == 3002
-        monkeypatch.setattr(store, "_build", counted_build)
-        report = run_census(CensusConfig(elements=elements, primes=PsPrimeRange(C1, 0, 120_000),
-                                         block_size=4096))
-        assert store.entries <= 1 << 12 and set(store.rows) == plan
-    finally:
-        store.clear()
+    residues._planned_rows.cache_clear()
+    monkeypatch.setattr(residues, "_jacobi_row", counted_build)
+    config = CensusConfig(elements=elements, primes=PsPrimeRange(C1, 0, 120_000), block_size=4096)
+    report = run_census(config)
+    assert run_census(config).pattern_counts == report.pattern_counts
+    rows = residues._planned_rows(plan)
+    assert set(rows) == plan and sum(map(len, rows.values())) <= 1 << 12
     assert sorted(builds) == sorted(plan)
     total, skipped, counts = _column_histogram(elements, primes_up_to(120_000).astype(np.uint64))
     assert (report.total_primes, report.skipped) == (total, skipped)

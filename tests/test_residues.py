@@ -37,13 +37,12 @@ def test_jacobi_validation():
 
 def test_jacobi_zero_iff_common_factor():
     assert jacobi(0, 1) == 1  # empty modulus convention
-    # two sweeps of every residue: the first earns each modulus its row, which
-    # the second reads
+    # a sweep of every residue: its second call builds the modulus's row, which
+    # serves the rest of the sweep
     for m in (9, 35, 45, 3 * 5 * 7 * 11):
-        for _ in range(2):
-            assert [a for a in range(-m, m) if jacobi(a, m) == 0] == [
-                a for a in range(-m, m) if math.gcd(a, m) > 1]
-        assert m in residues._JACOBI_ROWS.rows
+        assert [a for a in range(-m, m) if jacobi(a, m) == 0] == [
+            a for a in range(-m, m) if math.gcd(a, m) > 1]
+        assert m in residues._jacobi_rows
 
 
 def test_jacobi_negative_and_periodic():
@@ -126,10 +125,10 @@ def test_pattern_at_examples():
 
 @pytest.fixture
 def empty_rows():
-    for store in (residues._JACOBI_ROWS, residues._EULER_ROWS):
+    for store in (residues._jacobi_rows, residues._euler_rows):
         store.clear()
     yield
-    for store in (residues._JACOBI_ROWS, residues._EULER_ROWS):
+    for store in (residues._jacobi_rows, residues._euler_rows):
         store.clear()
 
 
@@ -143,15 +142,15 @@ def test_jacobi_rows_match_reference_loop(empty_rows):
     special = [1, 3, 9, 15, 25, 27, 45, 3**5 * 5, 3**8, 7 * 11 * 13, 3 * 5 * 7 * 11 * 13,
                residues.ROW_CAP - 1]
     sampled = [2 * rng.randrange(0, residues.ROW_CAP // 2) + 1 for _ in range(40)]
-    rows = residues._JACOBI_ROWS.rows
+    rows = residues._jacobi_rows
     for m in special + sampled:
         if m in rows:
             continue
-        # every residue once: the row is built part-way through the sweep
+        # every residue once, then far numerators: the second call builds the row
         assert [jacobi(a, m) for a in range(m)] == [_jacobi_loop(a, m) for a in range(m)]
-        assert m in rows
         for a in [rng.randrange(-(10**9), 10**9) for _ in range(200)] + [-1, -m, m, 2 * m + 1]:
             assert jacobi(a, m) == _jacobi_loop(a % m, m)
+        assert m in rows
 
 
 def test_jacobi_rows_finish_large_moduli(empty_rows):
@@ -162,9 +161,20 @@ def test_jacobi_rows_finish_large_moduli(empty_rows):
             for _ in range(300):
                 n = 2 * rng.randrange(residues.ROW_CAP, 10**9) + 1
                 assert jacobi(s, n) == _jacobi_loop(s % n, n)
-    # moduli at or above the cap neither build nor count toward rows
-    for store in (residues._JACOBI_ROWS, residues._EULER_ROWS):
-        assert not store.rows and not store.calls and store.entries == 0
+    # moduli at or above the cap, asked for any number of times, never build
+    for n in (residues.ROW_CAP + 1, residues.ROW_CAP + 3, 10**9 + 7):
+        for a in (2, 3, 5):
+            assert jacobi(a, n) == _jacobi_loop(a, n)
+    for p in (residues.ROW_CAP + 27, 10**9 + 7):  # primes
+        for a in (2, 3, 5):
+            assert legendre_euler(a, p) == _scalar_euler(a, p)
+    # nor do moduli below it that no two calls in a row ask for
+    for k in range(1, 200):
+        m = (11, 13)[k & 1]
+        assert jacobi(k, m) == _jacobi_loop(k % m, m)
+        assert legendre_euler(k, m) == _scalar_euler(k, m)
+    for store in (residues._jacobi_rows, residues._euler_rows):
+        assert not store
 
 
 def test_euler_rows_match_scalar_pow(empty_rows):
@@ -172,10 +182,10 @@ def test_euler_rows_match_scalar_pow(empty_rows):
     primes = [int(p) for p in primes_up_to(residues.ROW_CAP - 1) if p > 2]
     for p in [3, 5, 7, primes[-1]] + rng.sample(primes, 30):
         assert list(residues._euler_row(p)) == [_scalar_euler(a, p) for a in range(p)]
-        if p in residues._EULER_ROWS.rows:
+        if p in residues._euler_rows:
             continue
         assert [legendre_euler(a, p) for a in range(p)] == [_scalar_euler(a, p) for a in range(p)]
-        assert p in residues._EULER_ROWS.rows
+        assert p in residues._euler_rows
         for a in [rng.randrange(-(10**9), 10**9) for _ in range(200)]:
             assert legendre_euler(a, p) == _scalar_euler(a, p)
     # rows hold prime moduli only; a composite still raises
@@ -188,38 +198,42 @@ def test_import_builds_no_row():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
         "import psqr.cli, psqr.residues as r\n"
-        "stores = (r._JACOBI_ROWS, r._EULER_ROWS)\n"
-        "print(sum(len(s.rows) + len(s.calls) + s.entries for s in stores))\n"
+        "print(len(r._jacobi_rows), len(r._euler_rows), r._planned_rows.cache_info().currsize)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_row_stores_stay_within_budget(empty_rows, monkeypatch):
+    # full scalar stores hold rows of fewer than ROW_CAP bytes each, and a
+    # plan's rows fit in ROW_BUDGET: 2 * ROW_BUDGET bytes in all
+    assert 2 * residues.SCALAR_ROWS * residues.ROW_CAP <= residues.ROW_BUDGET
+    rows = 8
+    monkeypatch.setattr(residues, "SCALAR_ROWS", rows)
+    rng = random.Random(24)
+    jac, eul = residues._jacobi_rows, residues._euler_rows
+    for m in range(501, 1001, 2):
+        for a in (rng.randrange(-m, m), rng.randrange(-m, m)):
+            assert jacobi(a, m) == _jacobi_loop(a % m, m)
+        assert m in jac and len(jac) <= rows
+    primes = [int(p) for p in primes_up_to(2000) if p > 500]
+    for p in primes:
+        for a in (rng.randrange(-p, p), rng.randrange(-p, p)):
+            assert legendre_euler(a, p) == _scalar_euler(a, p)
+        assert p in eul and len(eul) <= rows
+    # rebuilt rows after the stores were cleared are still right
+    for m in (501, 801, 999):
+        assert [jacobi(a, m) for a in range(m)] == [_jacobi_loop(a, m) for a in range(m)]
     budget = 20_000
     monkeypatch.setattr(residues, "ROW_BUDGET", budget)
-    rng = random.Random(24)
-    jac, eul = residues._JACOBI_ROWS, residues._EULER_ROWS
-    primes = [int(p) for p in primes_up_to(4000) if p > 500]
-    for m in range(501, 4001, 2):
-        calls = -(-m // 8)  # just enough to pass the build threshold
-        for a in range(calls - 1):
-            jacobi(a, m)
-        assert m not in jac.rows
-        a = rng.randrange(-m, m)
-        assert jacobi(a, m) == _jacobi_loop(a % m, m)
-        assert m in jac.rows
-        assert jac.entries == sum(len(row) for row in jac.rows.values()) <= budget
-    for p in primes:
-        for a in range(-(-p // 8)):
-            assert legendre_euler(a, p) == _scalar_euler(a, p)
-        assert p in eul.rows
-        assert eul.entries == sum(len(row) for row in eul.rows.values()) <= budget
-    # the stores were cleared along the way and rebuilt rows are still right
-    assert len(jac.rows) < 1750 and len(eul.rows) < len(primes)
-    for m in (501, 2001, 3999):
-        assert [jacobi(a, m) for a in range(m)] == [_jacobi_loop(a, m) for a in range(m)]
+    qs = [int(p) for p in primes_up_to(2000)]
+    plan = residues.plan_rows(qs)
+    ns = np.arange(1, 4001, 2, dtype=np.uint64)
+    for q in qs:
+        assert residues.symbol_bits(q, ns, plan).tolist() == (jacobi_column(q, ns) < 0).tolist()
+    built = residues._planned_rows(plan)
+    assert set(built) == plan and sum(map(len, built.values())) <= budget < sum(qs)
 
 
 # -- columns: one numerator against many moduli -------------------------------
@@ -306,23 +320,48 @@ def test_jacobi_column_memory_follows_its_chunks():
                        st.integers(0, 10**6).map(lambda k: 2 * k + 1)), max_size=40),
 )
 def test_symbol_bits_match_the_column(q, ns):
-    # odd moduli of any kind, multiples of q included, before and after q
-    # has earned its row (a row is earned by serving q/8 moduli in all)
-    residues._JACOBI_ROWS.clear()
+    # odd moduli of any kind, multiples of q included, from q's row (q in its
+    # own plan) and from the column (an empty plan)
     ns = np.array(ns + [q * k for k in (1, 3, 5) if q > 2 and q * k < _U64], dtype=np.uint64)
     want = (jacobi_column(q, ns) < 0).tolist()
-    try:
-        assert residues.symbol_bits(q, ns).tolist() == want
-        residues.symbol_bits(q, np.ones(min(q // 8 + 1, 1 << 16), dtype=np.uint64))
-        assert (q in residues._JACOBI_ROWS.rows) == (2 < q <= residues.ROW_BUDGET >> 4)
-        assert residues.symbol_bits(q, ns).tolist() == want
-    finally:
-        residues._JACOBI_ROWS.clear()
+    plan = residues.plan_rows((q,))
+    assert (q in plan) == (2 < q <= residues.ROW_BUDGET >> 4)
+    for on_plan in (None, plan, frozenset()):
+        assert residues.symbol_bits(q, ns, on_plan).tolist() == want
+    assert (q in residues._planned_rows(plan)) == (q in plan)
 
 
 def test_symbol_bits_validation():
-    with pytest.raises(EvenModulus):
-        residues.symbol_bits(3, np.array([5, 10], dtype=np.uint64))
+    for plan in (None, frozenset()):
+        with pytest.raises(EvenModulus):
+            residues.symbol_bits(3, np.array([5, 10], dtype=np.uint64), plan)
+        with pytest.raises(NotPrime):
+            residues.symbol_bits(9, np.array([5], dtype=np.uint64), plan)
+        assert residues.symbol_bits(3, np.array([], dtype=np.uint64), plan).size == 0
+    # a plan holds primes only, so symbol_bits may read its rows unchecked
     with pytest.raises(NotPrime):
-        residues.symbol_bits(9, np.array([5], dtype=np.uint64))
-    assert residues.symbol_bits(3, np.array([], dtype=np.uint64)).size == 0
+        residues.symbol_bits(9, np.array([5], dtype=np.uint64), residues.plan_rows((9,)))
+    with pytest.raises(NotPrime):
+        residues.plan_rows((3, 5, 2**61 - 1, 2**61 + 1))
+    # the only even modulus lies in the second chunk, on and off the row
+    ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
+    ns[residues.COLUMN_CHUNK + 5] += 1
+    for q in (2, 3, 1_000_003):
+        with pytest.raises(EvenModulus):
+            residues.symbol_bits(q, ns)
+
+
+def test_symbol_bits_memory_follows_its_chunks():
+    # 203,999 odd moduli (1.6 MB): beyond its bool output, symbol_bits traces
+    # only a few chunk-wide arrays, from q's row (3) or the column (1,000,003)
+    ns = np.arange(3, 408_000, 2, dtype=np.uint64)
+    for q in (3, 1_000_003):
+        plan = residues.plan_rows((q,))
+        residues.symbol_bits(q, ns[:10], plan)  # the row, and the plan's cache, exist
+        tracemalloc.start()
+        try:
+            residues.symbol_bits(q, ns, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, (q, peak)
