@@ -58,11 +58,11 @@ def usable_cpus() -> int:
 
 
 def in_order(fn: Callable, tasks: Iterable, workers: int, processes: bool = False) -> Iterator:
-    """fn(task) for each task, lazily and in task order: in this process at
-    workers <= 1, else on one pool of workers threads (or processes) with at
-    most 2 x workers tasks in flight. A task's exception is re-raised, a
-    broken pool raises ResourceLimit, and however the run ends the queued
-    tasks are cancelled and the workers joined."""
+    """fn(task) for each task (census blocks, majorant or scan slices), lazily
+    and in task order: in this process at workers <= 1, else on one pool of
+    workers threads (or processes) with at most 2 x workers tasks in flight.
+    A task's exception is re-raised, a broken pool raises ResourceLimit, and
+    however the run ends the queued tasks are cancelled and the workers joined."""
     if workers <= 1:
         yield from map(fn, tasks)
         return

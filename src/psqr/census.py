@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from array import array
 from dataclasses import dataclass
 from typing import Iterator
@@ -179,7 +180,7 @@ class _Basis:
     rows: frozenset[int]
 
 
-def _basis(family: SquareSubsetFamily) -> _Basis:
+def _basis(family: SquareSubsetFamily, moduli: int) -> _Basis:
     flips: dict[int, int] = {}
     divisors: set[int] = set()
     for i, factors in enumerate(family.factored):
@@ -187,7 +188,7 @@ def _basis(family: SquareSubsetFamily) -> _Basis:
             divisors.add(q)
             if e & 1:
                 flips[q] = flips.get(q, 0) | 1 << i
-    return _Basis(tuple(sorted(flips.items())), tuple(sorted(divisors)), plan_rows(flips))
+    return _Basis(tuple(sorted(flips.items())), tuple(sorted(divisors)), plan_rows(flips, moduli))
 
 
 def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[int, int]]:
@@ -252,6 +253,7 @@ def run_census(config: CensusConfig) -> CensusReport:
     if isinstance(primes, PsPrimeRange):
         blocks = primes.blocks(config.block_size)
         workers = census_workers(primes, config.block_size, config.threads)
+        moduli = primes.hi - primes.lo  # at most one prime per n
         # a dyadic window (x, 2x] must dominate prod(S)**gamma for the side
         # condition to vanish; a PsPrimeRange has x < 2**64, which bounds the power
         if primes.hi == 2 * primes.lo and not dominates(primes.lo, config.elements, primes.exponent):
@@ -265,8 +267,9 @@ def run_census(config: CensusConfig) -> CensusReport:
         head = list(itertools.islice(blocks, config.threads))
         workers = max(len(head), 1)
         blocks = itertools.chain(head, blocks)
+        moduli = (os.path.getsize(primes) + 1) // 2  # an entry takes a digit and a newline
 
-    basis = _basis(prediction.family)
+    basis = _basis(prediction.family, moduli)
     tasks = ((basis, block) for block in blocks)
     partials = in_order(_census_block, tasks, workers, processes=True)
     total = 0

@@ -116,7 +116,7 @@ def _emit(args, chunks: Iterable[str], t0: float) -> None:
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "output_sha256": digest.hexdigest(),
-        # what bench numbers depend on; cpus is the psi* sweep's thread count
+        # what bench numbers depend on; cpus is the expsum slices' thread count
         "env": {"python": platform.python_version(), "numpy": np.__version__, "cpus": usable_cpus(),
                 "numba_importable": importlib.util.find_spec("numba") is not None,
                 "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")},

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -31,11 +30,10 @@ MAX_TRUNCATION = 1 << 16   # J of an expansion
 MAX_GRID = 1 << 22         # points of a majorant grid
 MAX_GRID_TERMS = 1 << 30   # grid points times J: the sines a majorant check evaluates
 
-# values per psi* thread task (numpy's sin releases the GIL)
-CHUNK = 1 << 13
-MAX_PSI_STAR_THREADS = 32
+MAX_SLICE_THREADS = 32  # threads of in_order's expsum slices (numpy's sin releases the GIL)
+CHUNK = 1 << 13  # points per slice of a majorant grid
 # n per slice of a scan row: any 2**16 n above 2**16 hold at most 5,709 odd
-# prime powers (those of (2**16, 2**17]), so psi* sweeps a slice in one chunk
+# prime powers (those of (2**16, 2**17]), the arguments of a slice's psi*
 SCAN_SLICE = 1 << 16
 PAIR_SLICE = 1 << 13  # (m, n) pairs of a bilinear sum formed at once
 T_BLOCK = 1 << 13  # odd t = m n whose phases a bilinear check forms at once
@@ -64,34 +62,23 @@ class TruncatedExpansion:
         self._w = np.array([2.0 * a_coeffs[j].imag for j in range(1, J + 1)])
 
     def psi_star(self, x):
-        """Evaluate psi* at x (scalar or array).
+        """Evaluate psi* at x (scalar or array), in one sweep on the calling thread.
 
         Arguments are reduced mod 1 and reflected into [0, 1/2] (the series is
         odd around integers), keeping every sine argument well conditioned.
-        Chunks of CHUNK arguments are swept through in_order on up to
-        usable_cpus() threads, at most MAX_PSI_STAR_THREADS and no more than
-        the chunks, joined before return; each value is the same for any count.
+        Each value depends on its own argument only, so any slicing of the
+        arguments gives the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         w = np.mod(x.reshape(-1), 1.0)
         flip = w > 0.5
         np.subtract(1.0, w, out=w, where=flip)
         acc = np.zeros_like(w)
-        term = np.empty_like(w)  # allocated here, so the threads allocate nothing
-        chunks = [slice(k, k + CHUNK) for k in range(0, w.size, CHUNK)]
-        workers = min(usable_cpus(), MAX_PSI_STAR_THREADS, len(chunks))
-        deque(in_order(lambda c: self._sweep(w[c], acc[c], term[c]), chunks, workers), 0)
+        for j in range(1, self.J + 1):
+            acc -= self._w[j - 1] * np.sin(TWO_PI * j * w)
         np.negative(acc, out=acc, where=flip)
         acc = acc.reshape(x.shape)
         return acc if acc.ndim else float(acc)
-
-    def _sweep(self, w: np.ndarray, acc: np.ndarray, term: np.ndarray) -> None:
-        """acc -= W_j/(pi j) sin(2 pi j w) for j = 1..J, in place, term by term."""
-        for j in range(1, self.J + 1):
-            np.multiply(TWO_PI * j, w, out=term)
-            np.sin(term, out=term)
-            np.multiply(self._w[j - 1], term, out=term)
-            np.subtract(acc, term, out=acc)
 
     def delta(self, x):
         """Fejer majorant F_J(x)/(2J+2); nonnegative, 1/2 at integers.
@@ -138,7 +125,9 @@ def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> di
 
     The grid pins integers and both one-sided neighborhoods, where the
     sawtooth jumps and the bound is tight. The grid is capped at MAX_GRID
-    points and MAX_GRID_TERMS points times J.
+    points and MAX_GRID_TERMS points times J. Slices of CHUNK points run
+    through in_order as the scan's do; the max (min) of their maxima of
+    |psi - psi*| - delta (minima of delta) is the one-pass value, NaN included.
     """
     if grid_points > MAX_GRID or grid_points * J > MAX_GRID_TERMS:
         raise Overflow(
@@ -154,11 +143,15 @@ def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> di
     step = max(1, J // 128)
     extra += [k / (J + 1) for k in range(1, J + 1, step)]
     xs = np.concatenate([xs, np.array(extra, dtype=np.float64)])
-    saw = xs - np.floor(xs) - 0.5
-    err = np.abs(saw - exp.psi_star(xs))
-    dl = exp.delta(xs)
-    worst = float(np.max(err - dl))
-    min_delta = float(np.min(dl))
+
+    def extremes(k: int) -> tuple[np.float64, np.float64]:
+        x = xs[k : k + CHUNK]
+        dl = exp.delta(x)
+        return np.max(np.abs(x - np.floor(x) - 0.5 - exp.psi_star(x)) - dl), np.min(dl)
+
+    workers = min(usable_cpus(), MAX_SLICE_THREADS)
+    worsts, deltas = zip(*in_order(extremes, range(0, xs.size, CHUNK), workers))
+    worst, min_delta = float(np.max(worsts)), float(np.min(deltas))
     return {
         "J": J,
         "grid_points": int(xs.size),
@@ -312,9 +305,9 @@ def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Itera
     """For each (N, M, J) of rows, in order: the sum of Lambda(n) (s/n)
     (psi*(-n**gamma) - psi*(-(n+1)**gamma)) over the odd prime powers n in
     (N, M], psi* of truncation J. Rows run as slices of SCAN_SLICE n, each
-    sieving its own n, through in_order on one thread pool for all rows, so a
-    slice's psi* (one chunk) runs on its own thread; fsum is exact, so a
-    row's value is the same for any slicing and thread count.
+    sieving its own n, through in_order on one thread pool for all rows; a
+    row's terms go to one _ExactSum, so its value is the same for any
+    slicing and thread count.
     """
     def slices() -> Iterator[tuple]:
         for row, (N, M, J) in enumerate(rows):
@@ -329,11 +322,14 @@ def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Itera
         contrib = lam * (exp.psi_star(-(x**gamma)) - exp.psi_star(-(x1**gamma)))
         if s != 1:
             contrib *= jacobi_column(s, ns)
-        return row, contrib.tolist()
+        return row, contrib
 
-    workers = min(usable_cpus(), MAX_PSI_STAR_THREADS)
+    workers = min(usable_cpus(), MAX_SLICE_THREADS)
     for _, parts in itertools.groupby(in_order(terms, slices(), workers), key=lambda part: part[0]):
-        yield math.fsum(itertools.chain.from_iterable(part for _, part in parts))
+        total = _ExactSum()
+        for _, contrib in parts:
+            total.add(contrib)
+        yield total.value()
 
 
 def L1(N: int, M: int, J: int, gamma: float) -> float:
@@ -348,9 +344,9 @@ def L2(N: int, M: int, J: int, gamma: float, s: int) -> float:
 
 
 class _ExactSum:
-    """The exact sum of the float64 values added, rounded once: value() is
-    bit-equal to math.fsum of them all, as both round the exact sum to
-    nearest, ties to even.
+    """The exact sum of the float64 values added, rounded once to nearest,
+    ties to even: the one exact sum of the expsum checks, a scan row's and
+    each part of a bilinear side, the same for any order and grouping of adds.
 
     A finite x is m 2**(e - 53), frexp's exponent e and an integer |m| < 2**53.
     The halves m >> 26 and m & (2**26 - 1) are summed per exponent by

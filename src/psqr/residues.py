@@ -11,10 +11,11 @@ the product of (q/p) over the primes q dividing s to an odd power. For odd q,
 reciprocity turns (q/p) into ((p mod q)/q) and a sign read off p and q mod 4,
 so a whole column is one gather into q's row (the Legendre symbol mod q). A
 census plans its basis's rows once (plan_rows): the odd primes up to
-ROW_BUDGET/16 whose rows fit in ROW_BUDGET together take rows, and the rest
-take jacobi_column. The rows belong to the plan: they are built as
-symbol_bits first needs each, at most once per process per plan, and the
-rows of one plan at a time are kept (_planned_rows).
+ROW_BUDGET/16 and to 8 times a bound on the census's primes, whose rows fit
+in ROW_BUDGET together, take rows, and the rest take jacobi_column. The
+rows belong to the plan: they are built as symbol_bits first needs each, at
+most once per process per plan, and the rows of one plan at a time are
+kept (_planned_rows).
 
 The scalar routines serve the other traffic, every residue of one small
 modulus (criterion 10's sweep). Odd moduli below ROW_CAP are served from
@@ -186,16 +187,17 @@ def jacobi(a: int, n: int) -> int:
     return _jacobi_loop(a % n, n) if row is None else row[a % n]
 
 
-def plan_rows(primes: Iterable[int]) -> frozenset[int]:
-    """The primes of one run whose symbol_bits columns may take rows: the odd
-    primes up to ROW_BUDGET/16, smallest first, while their rows fit in
-    ROW_BUDGET together; the other primes take jacobi_column. Raises NotPrime
-    if any of primes is not prime, so symbol_bits trusts the primes of a plan."""
+def plan_rows(primes: Iterable[int], moduli: int) -> frozenset[int]:
+    """The primes of one run whose symbol_bits columns may take rows, the run's
+    columns taking at most moduli moduli: the odd primes up to ROW_BUDGET/16
+    and 8 x moduli, smallest first, while their rows fit in ROW_BUDGET
+    together; the other primes take jacobi_column. Raises NotPrime if any of
+    primes is not prime, so symbol_bits trusts the primes of a plan."""
     primes = sorted(set(primes))
     for q in primes:
         if not is_prime(q):
             raise NotPrime(f"symbol rows are planned for primes, got {q}")
-    qs = [q for q in primes if 2 < q <= ROW_BUDGET >> 4]  # 16 such rows fit
+    qs = [q for q in primes if 2 < q <= min(ROW_BUDGET >> 4, 8 * moduli)]  # 16 such rows fit
     return frozenset(q for q, entries in zip(qs, itertools.accumulate(qs)) if entries <= ROW_BUDGET)
 
 
@@ -209,17 +211,15 @@ def _planned_rows(plan: frozenset[int]) -> dict[int, np.ndarray]:
 _TWO_ROW = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)  # (2/n) by n mod 8
 
 
-def symbol_bits(q: int, ns: np.ndarray, plan: Optional[frozenset[int]] = None) -> np.ndarray:
+def symbol_bits(q: int, ns: np.ndarray, plan: frozenset[int]) -> np.ndarray:
     """jacobi_column(q, ns) < 0 for a prime q and a uint64 array of odd ns.
 
     (2/n) reads n mod 8. For odd q and n, reciprocity gives (q/n) = ((n mod
     q)/q), negated when q and n are both 3 mod 4 (and 0 when q divides n): one
-    gather into q's row when q is in plan (a plan_rows plan; no plan is q's
-    own, plan_rows((q,))), else jacobi_column. Moduli are worked COLUMN_CHUNK
-    at a time, so no temporary spans ns.
+    gather into q's row when q is in plan (a plan_rows plan), else
+    jacobi_column. Moduli are worked COLUMN_CHUNK at a time, so no temporary
+    spans ns.
     """
-    if plan is None:
-        plan = plan_rows((q,))
     if q == 2:
         row, m = _TWO_ROW, 8
     elif q in plan:

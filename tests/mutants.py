@@ -166,6 +166,22 @@ MUTANTS = [
         "np.minimum(hi, (ts[-1] - 2) // ms)",
         "tests/test_expsums.py::test_bilinear_matches_loop_reference_in_small_t_blocks",
     ),
+    (
+        "a majorant slice skips its last point",
+        "expsums.py",
+        "        x = xs[k : k + CHUNK]\n",
+        "        x = xs[k : k + CHUNK - 1]\n",
+        "tests/test_expsums.py::test_majorant_check_same_for_any_thread_count",
+    ),
+    (
+        "_l_sums carries one total across rows",
+        "expsums.py",
+        "    for _, parts in itertools.groupby(in_order(terms, slices(), workers), key=lambda part: part[0]):\n"
+        "        total = _ExactSum()\n",
+        "    total = _ExactSum()\n"
+        "    for _, parts in itertools.groupby(in_order(terms, slices(), workers), key=lambda part: part[0]):\n",
+        "tests/test_expsums.py::test_scan_rows_match_one_whole_row_sum",
+    ),
 ]
 
 

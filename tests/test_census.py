@@ -647,7 +647,7 @@ def test_basis_histogram_matches_jacobi_columns(case):
     if budget is not None:
         residues.ROW_BUDGET = budget
     try:
-        basis = census._basis(square_subset_family(elements))
+        basis = census._basis(square_subset_family(elements), primes.size)
         total = skipped = 0
         counts: dict[int, int] = {}
         for i in range(0, primes.size, block):  # the plan's rows serve every block
@@ -682,8 +682,8 @@ def test_census_builds_each_basis_row_at_most_once(monkeypatch):
         return build(m)
 
     monkeypatch.setattr(residues, "ROW_BUDGET", 1 << 12)
-    plan = census._basis(square_subset_family(elements)).rows
-    assert plan == residues.plan_rows(odd) and sum(plan) <= 1 << 12 < sum(odd)
+    plan = census._basis(square_subset_family(elements), 120_000).rows
+    assert plan == residues.plan_rows(odd, 120_000) and sum(plan) <= 1 << 12 < sum(odd)
     residues._planned_rows.cache_clear()
     monkeypatch.setattr(residues, "_jacobi_row", counted_build)
     config = CensusConfig(elements=elements, primes=PsPrimeRange(C1, 0, 120_000), block_size=4096)
@@ -695,3 +695,30 @@ def test_census_builds_each_basis_row_at_most_once(monkeypatch):
     total, skipped, counts = _column_histogram(elements, primes_up_to(120_000).astype(np.uint64))
     assert (report.total_primes, report.skipped) == (total, skipped)
     assert report.pattern_counts == {_mask_key(m, 6): c for m, c in sorted(counts.items())}
+
+
+def test_census_of_few_primes_builds_no_row(monkeypatch, tmp_path):
+    # 16 basis primes in (200,003, 2**18): rows go only to primes up to 8 times
+    # a bound on the census's primes, here 2,000 n or 655 file entries
+    elements = tuple(int(p) for p in primes_up_to(1 << 18) if p > 200_003)[:16]
+    builds = []
+    build = residues._jacobi_row
+
+    def counted_build(m):
+        builds.append(m)
+        return build(m)
+
+    monkeypatch.setattr(residues, "_jacobi_row", counted_build)
+    primes = primes_up_to(3000)
+    primes = primes[primes > 1000].astype(np.uint64)
+    path = tmp_path / "primes.txt"
+    write_prime_file(path, primes.tolist())
+    assert (path.stat().st_size + 1) // 2 == 655
+    reports = [run_census(CensusConfig(elements=elements, primes=source))
+               for source in (PsPrimeRange(C1, 1000, 3000), str(path))]
+    assert builds == []
+    total, skipped, counts = _column_histogram(elements, primes)
+    assert (total, skipped) == (262, 0)
+    for report in reports:
+        assert (report.total_primes, report.skipped) == (total, skipped)
+        assert report.pattern_counts == {_mask_key(m, 16): c for m, c in sorted(counts.items())}

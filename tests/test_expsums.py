@@ -116,7 +116,7 @@ def test_odd_prime_powers_match_loop(row):
 
 
 def _psi_star_sweep(exp, x):
-    """psi* as one whole-array sweep: the bits every thread count must give."""
+    """psi* as one whole-array sweep: the bits of any slicing of its arguments."""
     u = np.mod(np.asarray(x, dtype=np.float64), 1.0)
     flip = u > 0.5
     w = np.where(flip, 1.0 - u, u)
@@ -128,55 +128,107 @@ def _psi_star_sweep(exp, x):
 
 
 @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-def test_psi_star_bits_for_any_thread_count(monkeypatch, size):
+def test_psi_star_bits_for_any_thread_count(size):
     exp = build_expansion(37)
     xs = np.random.default_rng(size).uniform(-3e5, 3e5, size)
     xs[: min(size, 6)] = [0.0, 0.5, -0.5, 1.0, 2.5, -1e-12][: min(size, 6)]
-    want = _psi_star_sweep(exp, xs).view(np.uint64)
-    for threads in (1, 2, 3):
-        monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
-        got = exp.psi_star(xs)
-        assert got.shape == xs.shape and np.array_equal(got.view(np.uint64), want), threads
+    got = exp.psi_star(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got.view(np.uint64), _psi_star_sweep(exp, xs).view(np.uint64))
 
 
-def test_psi_star_scalar_and_shaped_inputs(monkeypatch):
+def test_psi_star_scalar_and_shaped_inputs():
     exp = build_expansion(37)
     grid = np.linspace(-2.0, 2.0, 2 * CHUNK + 2).reshape(2, -1)
-    for threads in (1, 2, 3):
-        monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
-        for x in (0.3, -2.75, 0.5, np.float64(7.1), np.array(1.25)):
-            got = exp.psi_star(x)
-            assert type(got) is float
-            assert struct.pack("d", got) == struct.pack("d", _psi_star_sweep(exp, x))
-        assert np.array_equal(exp.psi_star(grid).view(np.uint64),
-                              _psi_star_sweep(exp, grid).view(np.uint64))
+    for x in (0.3, -2.75, 0.5, np.float64(7.1), np.array(1.25)):
+        got = exp.psi_star(x)
+        assert type(got) is float
+        assert struct.pack("d", got) == struct.pack("d", _psi_star_sweep(exp, x))
+    assert np.array_equal(exp.psi_star(grid).view(np.uint64),
+                          _psi_star_sweep(exp, grid).view(np.uint64))
+
+
+def _majorant_grid(J, grid_points):
+    """majorant_check's grid: the linspace, then integers, their one-sided
+    neighbours and Fejer nodes."""
+    xs = np.linspace(-2.5, 2.5, grid_points, endpoint=False)
+    extra = []
+    for k in range(-2, 4):
+        extra += [k, k - 1e-9, k + 1e-9, k - 1e-12, k + 1e-12]
+    extra += [k / (J + 1) for k in range(1, J + 1, max(1, J // 128))]
+    return np.concatenate([xs, np.array(extra, dtype=np.float64)])
+
+
+def _majorant_errors(J, grid_points):
+    """|psi - psi*| - delta and delta over the whole grid, in one pass."""
+    exp, xs = build_expansion(J), _majorant_grid(J, grid_points)
+    dl = exp.delta(xs)
+    return np.abs(xs - np.floor(xs) - 0.5 - _psi_star_sweep(exp, xs)) - dl, dl
+
+
+def _majorant_one_pass(J, grid_points, tol=1e-12):
+    """majorant_check's report from whole-grid arrays: the bits of any slicing."""
+    err, dl = _majorant_errors(J, grid_points)
+    worst, min_delta = float(np.max(err)), float(np.min(dl))
+    return {
+        "J": J,
+        "grid_points": int(dl.size),
+        "max_err_minus_delta": worst,
+        "min_delta": min_delta,
+        "passed": bool(worst <= tol and min_delta >= -tol),
+    }
 
 
 def test_majorant_check_same_for_any_thread_count(monkeypatch):
-    results = []
-    for threads in (1, 2, 3):
-        monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
-        results.append(repr(majorant_check(40, grid_points=3 * CHUNK)))
-    assert results[0] == results[1] == results[2]
+    # first slices that end on a grid's one worst point and on its one least
+    # delta, then slices of 1 point, of 7 (Fejer nodes split across slices),
+    # and wider ones
+    err, dl = _majorant_errors(40, 5000)
+    ends = [int(np.argmax(err)), int(np.argmin(dl))]
+    assert np.count_nonzero(err == err[ends[0]]) == np.count_nonzero(dl == dl[ends[1]]) == 1
+    cases = [(at + 1, 5000) for at in ends]
+    cases += [(1, 300), (7, 5000), (1000, 3 * CHUNK), (CHUNK, 3 * CHUNK + 5)]
+    for width, grid_points in cases:
+        monkeypatch.setattr(expsums, "CHUNK", width)
+        want = repr(_majorant_one_pass(40, grid_points))
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(expsums, "usable_cpus", lambda: threads)
+            assert repr(majorant_check(40, grid_points=grid_points)) == want, (width, threads)
 
 
-@pytest.mark.parametrize("failing_chunk", [0, 1, 3])
-def test_psi_star_chunk_failure_propagates_and_joins(monkeypatch, failing_chunk):
-    exp = build_expansion(5)
-    xs = np.arange(3 * CHUNK + 5) * 1e-7  # in [0, 1/2): each chunk sweeps its own xs
-    sweep = expsums.TruncatedExpansion._sweep
+@pytest.mark.parametrize("failing_slice", [0, 1, 3])
+def test_majorant_slice_failure_propagates_and_joins(monkeypatch, failing_slice):
+    grid_points = 3 * CHUNK + 5  # slices 0 to 2 of the linspace, and 3 ending in the extras
+    first = _majorant_grid(5, grid_points)[failing_slice * CHUNK]
+    psi_star = expsums.TruncatedExpansion.psi_star
 
-    def failing(self, w, acc, term):
-        if w[0] == xs[failing_chunk * CHUNK]:
-            raise RuntimeError("chunk failed")
-        sweep(self, w, acc, term)
+    def failing(self, x):
+        if x[0] == first:
+            raise RuntimeError("slice failed")
+        return psi_star(self, x)
 
-    monkeypatch.setattr(expsums.TruncatedExpansion, "_sweep", failing)
+    monkeypatch.setattr(expsums.TruncatedExpansion, "psi_star", failing)
     monkeypatch.setattr(expsums, "usable_cpus", lambda: 3)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        exp.psi_star(xs)
+    with pytest.raises(RuntimeError, match="slice failed"):
+        majorant_check(5, grid_points=grid_points)
     assert threading.active_count() == before
+
+
+def test_majorant_check_memory_follows_its_slices(monkeypatch):
+    # a 2**20-point grid (8 MB) is built with its linspace and their concatenation
+    # held at once; past the grid, only the slices in flight (2 x threads) add
+    monkeypatch.setattr(expsums, "usable_cpus", lambda: 2)
+    grid_points = 1 << 20
+    majorant_check(1, grid_points=10)
+    tracemalloc.start()
+    try:
+        rep = majorant_check(1, grid_points=grid_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"] and rep == _majorant_one_pass(1, grid_points)
+    assert peak < 2 * 8 * grid_points + 4 * 16 * 8 * CHUNK, peak
 
 
 def test_expansion_coefficient_bounds():

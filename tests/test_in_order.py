@@ -1,5 +1,5 @@
 """psqr.in_order, the one ordered runner of census blocks, scan slices and
-psi* chunks, on threads and on processes."""
+majorant slices, on threads and on processes."""
 
 import multiprocessing
 import threading

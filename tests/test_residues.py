@@ -228,8 +228,8 @@ def test_row_stores_stay_within_budget(empty_rows, monkeypatch):
     budget = 20_000
     monkeypatch.setattr(residues, "ROW_BUDGET", budget)
     qs = [int(p) for p in primes_up_to(2000)]
-    plan = residues.plan_rows(qs)
     ns = np.arange(1, 4001, 2, dtype=np.uint64)
+    plan = residues.plan_rows(qs, ns.size)
     for q in qs:
         assert residues.symbol_bits(q, ns, plan).tolist() == (jacobi_column(q, ns) < 0).tolist()
     built = residues._planned_rows(plan)
@@ -321,18 +321,27 @@ def test_jacobi_column_memory_follows_its_chunks():
 )
 def test_symbol_bits_match_the_column(q, ns):
     # odd moduli of any kind, multiples of q included, from q's row (q in its
-    # own plan) and from the column (an empty plan)
+    # own plan, for a run of moduli enough that the budget alone bounds it) and
+    # from the column (an empty plan)
     ns = np.array(ns + [q * k for k in (1, 3, 5) if q > 2 and q * k < _U64], dtype=np.uint64)
     want = (jacobi_column(q, ns) < 0).tolist()
-    plan = residues.plan_rows((q,))
+    plan = residues.plan_rows((q,), residues.ROW_BUDGET)
     assert (q in plan) == (2 < q <= residues.ROW_BUDGET >> 4)
-    for on_plan in (None, plan, frozenset()):
+    for on_plan in (plan, frozenset()):
         assert residues.symbol_bits(q, ns, on_plan).tolist() == want
     assert (q in residues._planned_rows(plan)) == (q in plan)
 
 
+def test_plan_rows_bounded_by_its_moduli():
+    # q takes a row only if it is at most 8 times the run's moduli
+    qs = (2, 3, 101, 8191, 65537)
+    for moduli, plan in ((0, ()), (12, (3,)), (13, (3, 101)), (8192, (3, 101, 8191)),
+                         (8193, (3, 101, 8191, 65537)), (1 << 40, (3, 101, 8191, 65537))):
+        assert residues.plan_rows(qs, moduli) == frozenset(plan), moduli
+
+
 def test_symbol_bits_validation():
-    for plan in (None, frozenset()):
+    for plan in (residues.plan_rows((3,), 1), frozenset()):
         with pytest.raises(EvenModulus):
             residues.symbol_bits(3, np.array([5, 10], dtype=np.uint64), plan)
         with pytest.raises(NotPrime):
@@ -340,15 +349,15 @@ def test_symbol_bits_validation():
         assert residues.symbol_bits(3, np.array([], dtype=np.uint64), plan).size == 0
     # a plan holds primes only, so symbol_bits may read its rows unchecked
     with pytest.raises(NotPrime):
-        residues.symbol_bits(9, np.array([5], dtype=np.uint64), residues.plan_rows((9,)))
+        residues.symbol_bits(9, np.array([5], dtype=np.uint64), residues.plan_rows((9,), 1))
     with pytest.raises(NotPrime):
-        residues.plan_rows((3, 5, 2**61 - 1, 2**61 + 1))
+        residues.plan_rows((3, 5, 2**61 - 1, 2**61 + 1), 1 << 20)
     # the only even modulus lies in the second chunk, on and off the row
     ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
     ns[residues.COLUMN_CHUNK + 5] += 1
     for q in (2, 3, 1_000_003):
         with pytest.raises(EvenModulus):
-            residues.symbol_bits(q, ns)
+            residues.symbol_bits(q, ns, residues.plan_rows((q,), ns.size))
 
 
 def test_symbol_bits_memory_follows_its_chunks():
@@ -356,7 +365,7 @@ def test_symbol_bits_memory_follows_its_chunks():
     # only a few chunk-wide arrays, from q's row (3) or the column (1,000,003)
     ns = np.arange(3, 408_000, 2, dtype=np.uint64)
     for q in (3, 1_000_003):
-        plan = residues.plan_rows((q,))
+        plan = residues.plan_rows((q,), ns.size)
         residues.symbol_bits(q, ns[:10], plan)  # the row, and the plan's cache, exist
         tracemalloc.start()
         try:
