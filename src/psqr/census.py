@@ -16,12 +16,12 @@ Symbols come from the set's odd-exponent prime basis, read off the
 factorizations the square-subset family already holds, so each element is
 factored once per census: (s/p) = -1 exactly when an odd number of the primes
 q dividing s to an odd power have (q/p) = -1. Each block takes one
-residues.symbol_bits column per basis prime, read from q's row when the
-census's row plan holds q, and XORs it into the pattern mask of every element
-that q divides to an odd power. Every mask is therefore a sum of columns of
-the exponent matrix, so patterns outside the prediction's support (its
-structural zeros) cannot be counted. A prime dividing any element, or p = 2,
-is skipped.
+residues.jacobi_column per basis prime, gathered from q's row when the
+census's row plan holds q, and XORs where it is -1 into the pattern mask of
+every element that q divides to an odd power. Every mask is therefore a sum
+of columns of the exponent matrix, so patterns outside the prediction's
+support (its structural zeros) cannot be counted. A prime dividing any
+element, or p = 2, is skipped.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .psprimes import (
     BLOCK_SIZE, FLOOR_PASS_S, PRIME_BUDGET, PsPrimeRange, floor_pow,
     prime_flags, primality_tier, ps_prime_array,
 )
-from .residues import plan_rows, symbol_bits
+from .residues import jacobi_column, plan_rows
 
 # n (or primes) per block: a window block holds ~40 bytes per n
 MAX_BLOCK_SIZE = 1 << 22
@@ -197,7 +197,7 @@ def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[i
     odd = primes[~np.isin(primes, np.array((2,) + basis.divisors, dtype=np.uint64))]
     masks = np.zeros(odd.size, dtype=np.int64)
     for q, positions in basis.flips:
-        masks ^= symbol_bits(q, odd, basis.rows) * np.int64(positions)
+        masks ^= (jacobi_column(q, odd, basis.rows) < 0) * np.int64(positions)
     keys, counts = np.unique(masks, return_counts=True)
     return primes.size, primes.size - odd.size, dict(zip(keys.tolist(), counts.tolist()))
 

@@ -19,7 +19,7 @@ from . import in_order, usable_cpus
 from .errors import Overflow, PreconditionViolated
 from .kernels import factorize
 from .psprimes import _segment_is_prime, primes_up_to
-from .residues import COLUMN_CHUNK, jacobi_column
+from .residues import COLUMN_CHUNK, jacobi_column, plan_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,6 +120,25 @@ def build_expansion(J: int) -> TruncatedExpansion:
     return TruncatedExpansion(J, a, b)
 
 
+def _majorant_grid(J: int, grid_points: int) -> np.ndarray:
+    """np.linspace(-2.5, 2.5, grid_points, endpoint=False), then the integers
+    in [-2, 3], their one-sided neighbours and the Fejer nodes k/(J+1), where
+    the majorant vanishes and the bound is tight. One array holds them all;
+    its linspace part is arange times step plus start, as np.linspace computes
+    it, written CHUNK points at a time, so it is linspace's to the bit."""
+    extra = []
+    for k in range(-2, 4):
+        extra += [k, k - 1e-9, k + 1e-9, k - 1e-12, k + 1e-12]
+    extra += [k / (J + 1) for k in range(1, J + 1, max(1, J // 128))]
+    xs = np.empty(grid_points + len(extra))
+    start, step = -2.5, 5.0 / max(grid_points, 1)
+    for k in range(0, grid_points, CHUNK):
+        top = min(k + CHUNK, grid_points)
+        xs[k:top] = np.arange(k, top) * step + start
+    xs[grid_points:] = extra
+    return xs
+
+
 def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> dict:
     """Dense-grid check that delta >= -tol and |psi - psi*| <= delta + tol.
 
@@ -134,15 +153,10 @@ def majorant_check(J: int, grid_points: int = 100_000, tol: float = 1e-12) -> di
             f"a majorant grid is capped at {MAX_GRID} points and {MAX_GRID_TERMS} "
             f"points times J, got {grid_points} points at J = {J}"
         )
+    if grid_points < 0:
+        raise PreconditionViolated(f"a majorant grid needs 0 points or more, got {grid_points}")
     exp = build_expansion(J)
-    xs = np.linspace(-2.5, 2.5, grid_points, endpoint=False)
-    extra = []
-    for k in range(-2, 4):
-        extra += [k, k - 1e-9, k + 1e-9, k - 1e-12, k + 1e-12]
-    # Fejer nodes k/(J+1): the majorant vanishes there, so the bound is tight
-    step = max(1, J // 128)
-    extra += [k / (J + 1) for k in range(1, J + 1, step)]
-    xs = np.concatenate([xs, np.array(extra, dtype=np.float64)])
+    xs = _majorant_grid(J, grid_points)
 
     def extremes(k: int) -> tuple[np.float64, np.float64]:
         x = xs[k : k + CHUNK]
@@ -307,8 +321,11 @@ def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Itera
     (N, M], psi* of truncation J. Rows run as slices of SCAN_SLICE n, each
     sieving its own n, through in_order on one thread pool for all rows; a
     row's terms go to one _ExactSum, so its value is the same for any
-    slicing and thread count.
+    slicing and thread count. The symbols gather from the row of s's odd part
+    when plan_rows plans it.
     """
+    plan = plan_rows((s,), sum(M - N for N, M, _ in rows))
+
     def slices() -> Iterator[tuple]:
         for row, (N, M, J) in enumerate(rows):
             exp = build_expansion(J)
@@ -321,7 +338,7 @@ def _l_sums(rows: Sequence[tuple[int, int, int]], gamma: float, s: int) -> Itera
         x, x1 = ns.astype(np.float64), (ns + 1).astype(np.float64)
         contrib = lam * (exp.psi_star(-(x**gamma)) - exp.psi_star(-(x1**gamma)))
         if s != 1:
-            contrib *= jacobi_column(s, ns)
+            contrib *= jacobi_column(s, ns, plan)
         return row, contrib
 
     workers = min(usable_cpus(), MAX_SLICE_THREADS)
@@ -400,7 +417,8 @@ def bilinear_check(
     mu = mobius_sieve(int(u))  # read at d, e and m <= u only
     # chi[n >> 1] = (s/n) for odd n <= M: every symbol the sums below take
     step = 2 * COLUMN_CHUNK  # odd n a column takes at once, so no array spans all n <= M
-    chi = np.concatenate([jacobi_column(s, np.arange(n, min(n + step, M + 1), 2, dtype=np.uint64))
+    plan = plan_rows((s,), (M + 1) // 2)
+    chi = np.concatenate([jacobi_column(s, np.arange(n, min(n + step, M + 1), 2, dtype=np.uint64), plan)
                           for n in range(1, M + 1, step)])
     live = np.flatnonzero(chi)
     live *= 2

@@ -46,11 +46,6 @@ _SIEVE_VALUE_CAP = 1 << 44    # beyond this, base primes get too large to sieve
 # without first casting the whole array
 _MR_BATCH = np.array((38, 1 << 53), dtype=np.uint64)
 _MR_CHUNK = 1 << 14           # values per batched Miller-Rabin chunk, bounding its temporaries
-# fewest values left after trial division that a chunk tests as arrays: the
-# batch costs 1.3-2.5 ms of numpy calls up to 128 survivors (two
-# _strong_probable_prime calls), and is_prime ~12 us a pow near 2**50, so they
-# cross at 64-128 random survivors (2-vCPU Xeon, numpy 2.4)
-_MR_MIN_BATCH = 1 << 7
 
 
 def is_prime(m: int) -> bool:
@@ -163,9 +158,7 @@ def prime_flags(values: np.ndarray) -> np.ndarray:
        is tested entry by entry below.
     2. Entries in [38, 2**53): batched Miller-Rabin, _MR_CHUNK values at a
        time (_miller_rabin), with the bases is_prime would use: base 2 in one
-       call, then the rest as (value, base) lanes, _MR_CHUNK a call; a chunk
-       with fewer than _MR_MIN_BATCH values left after vectorised trial
-       division hands them to is_prime, which is then faster. The float
+       call, then the rest as (value, base) lanes, _MR_CHUNK a call. The float
        only guesses each modular product's quotient, and integer arithmetic
        certifies the remainder (_mulmod): for a, b < m < 2**53, fl(a), fl(b)
        and fl(m) are exact, and the product and the quotient are rounded
@@ -218,15 +211,11 @@ def _miller_rabin(m: np.ndarray) -> np.ndarray:
     """is_prime over a uint64 array of values in [38, 2**53): trial division by
     the 12 bases (each below every value), base 2 over the survivors, then
     every further base each survivor of base 2 needs (_MR_COUNTS, as is_prime
-    runs them) as (value, base) lanes, at most _MR_CHUNK a call. Fewer than
-    _MR_MIN_BATCH values left after trial division go to is_prime one by one."""
+    runs them) as (value, base) lanes, at most _MR_CHUNK a call."""
     prime = np.ones(m.size, dtype=bool)
     for p in _MR_BASES:
         prime &= m % np.uint64(p) != 0
     live = np.flatnonzero(prime)
-    if live.size < _MR_MIN_BATCH:
-        prime[live] = [is_prime(v) for v in m[live].tolist()]
-        return prime
     prime[live] = _strong_probable_prime(m[live], 2)
     live = live[prime[live]]
     # value i owns lanes ends[i] - need[i] .. ends[i] - 1, for bases 1 .. need[i]
@@ -253,12 +242,12 @@ def _strong_probable_prime(m: np.ndarray, a) -> np.ndarray:
     mf = m.astype(np.float64)
     x = np.ones_like(m)
     base = np.asarray(a, dtype=np.uint64)
-    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
         x = _mulmod(x, x, m, mf)
         odd = (d >> np.uint64(bit)) & one != 0
         x = np.where(odd, x * base % m, x)  # x * a < 37 * 2**53 < 2**64: exact
     ok = (x == one) | (x == m1)
-    for r in range(1, int(s.max())):
+    for r in range(1, int(s.max(initial=0))):
         x = _mulmod(x, x, m, mf)
         ok |= (x == m1) & (s > r)
     return ok

@@ -1,21 +1,18 @@
 """Legendre-Jacobi symbols and the sign pattern of a set at a prime.
 
-Censuses and exponential sums ask for one numerator against many moduli.
-jacobi_column serves any numerator: the binary reciprocity reduction of
-_jacobi_loop, run over a whole array of moduli at once, COLUMN_CHUNK moduli at
-a time so its temporaries stay bounded. Exponential sums take their characters
-from it, and it is the reference for symbol_bits.
-
-symbol_bits serves a prime numerator q, which is all a census needs: (s/p) is
-the product of (q/p) over the primes q dividing s to an odd power. For odd q,
-reciprocity turns (q/p) into ((p mod q)/q) and a sign read off p and q mod 4,
-so a whole column is one gather into q's row (the Legendre symbol mod q). A
-census plans its basis's rows once (plan_rows): the odd primes up to
-ROW_BUDGET/16 and to 8 times a bound on the census's primes, whose rows fit
-in ROW_BUDGET together, take rows, and the rest take jacobi_column. The
-rows belong to the plan: they are built as symbol_bits first needs each, at
-most once per process per plan, and the rows of one plan at a time are
-kept (_planned_rows).
+Censuses and exponential sums ask for one numerator s against many moduli n:
+(s/p) at the primes of a census, and the character (s/n) that twists the
+expsum sums. jacobi_column serves both, COLUMN_CHUNK moduli at a time so its
+temporaries stay bounded. It writes s = 2**e t with t odd, so (s/n) =
+(2/n)**e (t/n), and (2/n) reads n mod 8. For a planned t, reciprocity turns
+(t/n) into ((n mod t)/t) and a sign read off t and n mod 4, so a whole column
+is one gather into t's Jacobi row; any other t runs the binary reciprocity
+reduction of _jacobi_loop over all moduli at once. A run plans its rows once
+(plan_rows): the odd parts up to ROW_BUDGET/16 and to 8 times a bound on the
+run's moduli, whose rows fit in ROW_BUDGET together, take rows. The rows
+belong to the plan: they are built as a column first needs each, at most once
+per process per plan, and the rows of one plan at a time are kept
+(_planned_rows).
 
 The scalar routines serve the other traffic, every residue of one small
 modulus (criterion 10's sweep). Odd moduli below ROW_CAP are served from
@@ -43,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -75,43 +73,60 @@ def _jacobi_loop(a: int, n: int) -> int:
 
 
 _ODD_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)  # 2**z with z odd
+# (s/n) = (2/n)**e (t/n) for s = 2**e t, t odd: a chunk starts from signs read
+# off each n's low byte, row e & 1 of _SIGNS ((2/n) = -1 at n = 3, 5 mod 8), or
+# row (t & 2) | (e & 1) when t's row serves (reciprocity negates at t = n = 3
+# mod 4); an even n reads 0
+_SIGNS = np.tile(np.array([
+    [0, 1, 0, 1, 0, 1, 0, 1],      # no flip
+    [0, 1, 0, -1, 0, -1, 0, 1],    # (2/n)
+    [0, 1, 0, -1, 0, 1, 0, -1],    # reciprocity
+    [0, 1, 0, 1, 0, -1, 0, -1],    # both
+], dtype=np.int8), 32)
 
 
-def jacobi_column(s: int, ns: np.ndarray | Sequence[int]) -> np.ndarray:
+def jacobi_column(s: int, ns: np.ndarray | Sequence[int], plan: frozenset[int] = frozenset()) -> np.ndarray:
     """(s/n) for every odd n of ns (1 <= n < 2**64) as int8, for 1 <= s <= 2**64.
 
-    s = 2**e t with t odd, so (s/n) = (2/n)**e (t/n); the factor (t/n) runs
-    _jacobi_loop's reduction on all moduli of a chunk at once, dropping each
-    modulus from the working arrays as its reduction ends.
+    s = 2**e t with t odd, so (s/n) = (2/n)**e (t/n), and (2/n) reads n mod 8.
+    t = 1 is that sign alone. For t in plan (a plan_rows plan), reciprocity
+    gives (t/n) = ((n mod t)/t), negated when t and n are both 3 mod 4 (and 0
+    when gcd(t, n) > 1): one gather into t's row, built once per plan. Any
+    other t runs _jacobi_loop's reduction on all moduli of a chunk at once,
+    dropping each modulus from the working arrays as its reduction ends.
+    Moduli are worked COLUMN_CHUNK at a time, so no temporary spans ns.
     """
     if not 1 <= s <= 1 << 64:
         raise PreconditionViolated(f"column numerators run over 1..2**64, got {s}")
     ns = np.asarray(ns, dtype=np.uint64)
     e = (s & -s).bit_length() - 1
-    t = np.uint64(s >> e)
+    t = s >> e
+    row = _planned_row(t, plan) if t in plan else None
+    signs = _SIGNS[e & 1 if row is None else t & 2 | e & 1]
     out = np.empty(ns.size, dtype=np.int8)
     for lo in range(0, ns.size, COLUMN_CHUNK):
-        n = ns[lo : lo + COLUMN_CHUNK]
-        if not (n & 1).all():  # checked by chunk, so no temporary spans ns
+        n, col = ns[lo : lo + COLUMN_CHUNK], out[lo : lo + COLUMN_CHUNK]
+        signs.take(n.astype(np.uint8), out=col)
+        if not col.all():  # checked by chunk, so no temporary spans ns
             raise EvenModulus("Jacobi moduli must be odd and positive")
-        col = out[lo : lo + COLUMN_CHUNK]
-        where = np.arange(n.size)  # positions of the moduli still reducing
-        sign = np.ones(n.size, dtype=np.int8)
-        if e & 1:
-            sign[(n & 7 == 3) | (n & 7 == 5)] = -1
-        a = t % n
-        while where.size:
-            done = a == 0
-            if done.any():
-                col[where[done]] = np.where(n[done] == 1, sign[done], 0)
-                live = ~done
-                where, a, n, sign = where[live], a[live], n[live], sign[live]
-            low = a & (~a + 1)
-            flip = (low & _ODD_BITS != 0) & ((n & 7 == 3) | (n & 7 == 5))
-            a //= low
-            flip ^= a & n & 3 == 3
-            sign[flip] *= -1
-            a, n = n % a, a
+        if row is not None:
+            col *= row.take(n % np.uint64(t))
+        elif t > 1:
+            where = np.arange(n.size)  # positions of the moduli still reducing
+            sign = col.copy()
+            a = np.uint64(t) % n
+            while where.size:
+                done = a == 0
+                if done.any():
+                    col[where[done]] = np.where(n[done] == 1, sign[done], 0)
+                    live = ~done
+                    where, a, n, sign = where[live], a[live], n[live], sign[live]
+                low = a & (~a + 1)
+                flip = (low & _ODD_BITS != 0) & ((n & 7 == 3) | (n & 7 == 5))
+                a //= low
+                flip ^= a & n & 3 == 3
+                sign[flip] *= -1
+                a, n = n % a, a
     return out
 
 
@@ -187,18 +202,15 @@ def jacobi(a: int, n: int) -> int:
     return _jacobi_loop(a % n, n) if row is None else row[a % n]
 
 
-def plan_rows(primes: Iterable[int], moduli: int) -> frozenset[int]:
-    """The primes of one run whose symbol_bits columns may take rows, the run's
-    columns taking at most moduli moduli: the odd primes up to ROW_BUDGET/16
-    and 8 x moduli, smallest first, while their rows fit in ROW_BUDGET
-    together; the other primes take jacobi_column. Raises NotPrime if any of
-    primes is not prime, so symbol_bits trusts the primes of a plan."""
-    primes = sorted(set(primes))
-    for q in primes:
-        if not is_prime(q):
-            raise NotPrime(f"symbol rows are planned for primes, got {q}")
-    qs = [q for q in primes if 2 < q <= min(ROW_BUDGET >> 4, 8 * moduli)]  # 16 such rows fit
-    return frozenset(q for q, entries in zip(qs, itertools.accumulate(qs)) if entries <= ROW_BUDGET)
+def plan_rows(numerators: Iterable[int], moduli: int) -> frozenset[int]:
+    """The odd parts t > 1 of numerators (s = 2**e t) whose jacobi_column
+    columns gather from t's row, the run's columns taking at most moduli
+    moduli: the t up to ROW_BUDGET/16 and 8 x moduli, smallest first, while
+    their rows fit in ROW_BUDGET together; the other numerators take the
+    reduction. A Jacobi row serves any odd t, prime or not."""
+    ts = sorted({s >> ((s & -s).bit_length() - 1) for s in numerators})
+    ts = [t for t in ts if 1 < t <= min(ROW_BUDGET >> 4, 8 * moduli)]  # 16 such rows fit
+    return frozenset(t for t, entries in zip(ts, itertools.accumulate(ts)) if entries <= ROW_BUDGET)
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,42 +220,17 @@ def _planned_rows(plan: frozenset[int]) -> dict[int, np.ndarray]:
     return {}
 
 
-_TWO_ROW = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)  # (2/n) by n mod 8
+_row_lock = threading.Lock()  # expsum slices on a thread pool share one plan
 
 
-def symbol_bits(q: int, ns: np.ndarray, plan: frozenset[int]) -> np.ndarray:
-    """jacobi_column(q, ns) < 0 for a prime q and a uint64 array of odd ns.
-
-    (2/n) reads n mod 8. For odd q and n, reciprocity gives (q/n) = ((n mod
-    q)/q), negated when q and n are both 3 mod 4 (and 0 when q divides n): one
-    gather into q's row when q is in plan (a plan_rows plan), else
-    jacobi_column. Moduli are worked COLUMN_CHUNK at a time, so no temporary
-    spans ns.
-    """
-    if q == 2:
-        row, m = _TWO_ROW, 8
-    elif q in plan:
+def _planned_row(t: int, plan: frozenset[int]) -> np.ndarray:
+    """t's row of plan, (a/t) for 0 <= a < t, built if this is its first use."""
+    with _row_lock:
         rows = _planned_rows(plan)
-        row, m = rows.get(q), q
+        row = rows.get(t)
         if row is None:
-            row = rows[q] = np.frombuffer(_jacobi_row(q), dtype=np.int8)
-    elif is_prime(q):
-        row = None
-    else:
-        raise NotPrime(f"symbol_bits needs a prime numerator, got {q}")
-    bits = np.empty(ns.size, dtype=bool)
-    for lo in range(0, ns.size, COLUMN_CHUNK):
-        n, out = ns[lo : lo + COLUMN_CHUNK], bits[lo : lo + COLUMN_CHUNK]
-        if row is None:
-            np.less(jacobi_column(q, n), 0, out=out)
-            continue
-        if not (n & 1).all():
-            raise EvenModulus("Jacobi moduli must be odd and positive")
-        symbols = row[n % m]
-        np.less(symbols, 0, out=out)
-        if q & 3 == 3:
-            out ^= (n & 3 == 3) & (symbols != 0)
-    return bits
+            row = rows[t] = np.frombuffer(_jacobi_row(t), dtype=np.int8)
+    return row
 
 
 def legendre_euler(a: int, p: int) -> int:

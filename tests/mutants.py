@@ -57,11 +57,25 @@ MUTANTS = [
         "tests/test_census.py::test_prime_file_rejects_the_earliest_bad_line",
     ),
     (
-        "symbol_bits without its reciprocity flip",
+        "jacobi_column's row path without its reciprocity flip",
         "residues.py",
-        "    if q & 3 == 3:\n",
-        "    if False:\n",
-        "tests/test_residues.py::test_symbol_bits_match_the_column",
+        "    signs = _SIGNS[e & 1 if row is None else t & 2 | e & 1]\n",
+        "    signs = _SIGNS[e & 1]\n",
+        "tests/test_residues.py::test_planned_column_matches_the_reduction",
+    ),
+    (
+        "row path without its (2/n)**e factor",
+        "residues.py",
+        "    signs = _SIGNS[e & 1 if row is None else t & 2 | e & 1]\n",
+        "    signs = _SIGNS[e & 1 if row is None else t & 2]\n",
+        "tests/test_residues.py::test_planned_column_matches_the_reduction",
+    ),
+    (
+        "_planned_row without its lock",
+        "residues.py",
+        "    with _row_lock:\n",
+        "    if True:\n",
+        "tests/test_residues.py::test_planned_row_built_once_from_many_threads",
     ),
     (
         "_jacobi_row without (0/p) = 0",
@@ -111,6 +125,13 @@ MUTANTS = [
         "    return 2.0 ** math.ceil(math.log2(bound * (1 + 2**-20)))\n",
         "    return 0.0\n",
         "tests/test_psprimes.py::test_guards_as_derived",
+    ),
+    (
+        "_guard returns 2**-80",
+        "psprimes.py",
+        "    return 2.0 ** math.ceil(math.log2(bound * (1 + 2**-20)))\n",
+        "    return 2.0**-80\n",
+        "tests/test_psprimes.py::test_float_floors_match_floor_pow",
     ),
     (
         "_MR_BASES without its last base",

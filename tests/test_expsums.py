@@ -215,9 +215,24 @@ def test_majorant_slice_failure_propagates_and_joins(monkeypatch, failing_slice)
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("J, grid_points", [(1, 100_000), (1000, 100_000), (40, 3 * CHUNK + 5),
+                                           (1, expsums.MAX_GRID), (3, 1), (3, 0)])
+def test_majorant_grid_is_linspace_to_the_bit(J, grid_points):
+    xs = expsums._majorant_grid(J, grid_points)
+    want = np.linspace(-2.5, 2.5, grid_points, endpoint=False)
+    assert np.array_equal(xs[:grid_points].view(np.uint64), want.view(np.uint64))
+    tail = _majorant_grid(J, 0)  # the extra points alone
+    assert np.array_equal(xs[grid_points:].view(np.uint64), tail.view(np.uint64))
+
+
+def test_majorant_check_refuses_a_negative_grid():
+    with pytest.raises(PreconditionViolated):
+        majorant_check(3, grid_points=-1)
+
+
 def test_majorant_check_memory_follows_its_slices(monkeypatch):
-    # a 2**20-point grid (8 MB) is built with its linspace and their concatenation
-    # held at once; past the grid, only the slices in flight (2 x threads) add
+    # a 2**20-point grid (8 MB) is held once, with no second grid-sized array
+    # while it is built; past the grid, only the slices in flight (2 x threads) add
     monkeypatch.setattr(expsums, "usable_cpus", lambda: 2)
     grid_points = 1 << 20
     majorant_check(1, grid_points=10)
@@ -228,7 +243,7 @@ def test_majorant_check_memory_follows_its_slices(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep["passed"] and rep == _majorant_one_pass(1, grid_points)
-    assert peak < 2 * 8 * grid_points + 4 * 16 * 8 * CHUNK, peak
+    assert peak < 8 * grid_points + 4 * 16 * 8 * CHUNK, peak
 
 
 def test_expansion_coefficient_bounds():

@@ -398,8 +398,7 @@ _differential = settings(max_examples=100, deadline=None, suppress_health_check=
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on a float cast out of range
 def test_ps_block_matches_oracle(case):
     c, lo, hi, block = case
-    with mock.patch.object(psprimes, "_MR_MIN_BATCH", 1):  # batch even a few floors
-        assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
+    assert list(ps_primes_in(PsPrimeRange(c, lo, hi), block_size=block)) == _oracle(c, lo, hi)
 
 
 @_differential
@@ -649,26 +648,25 @@ def _u64(values):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(flag_arrays(), st.sampled_from((psprimes._MR_CHUNK, 1, 7)), st.sampled_from((1, 4)))
-@example(_u64(range(41)), 7, 1)
-@example(_u64(_MR_LIMIT_DIVISORS + psprimes._MR_LIMITS), 1, 1)
-@example(_u64(_CARMICHAEL), 2, 1)
-@example(_u64(_P_BELOW_2_26_5**2 + d for d in (-2, 0, 2)), 7, 1)
-@example(_u64(((1 << 53) - 111, (1 << 53) - 1, (1 << 53) + 1)), 7, 1)
-@example(_u64(range((1 << 53) - 200, (1 << 53) + 200)), 16, 1)  # a dense run across 2**53
-@example(_u64(range(_SIEVE_VALUE_CAP - 200, _SIEVE_VALUE_CAP + 200)), 16, 1)
-@example(_u64(range((1 << 50) - 4000, (1 << 50) + 4000)), psprimes._MR_CHUNK, psprimes._MR_MIN_BATCH)
-def test_prime_flags_matches_is_prime(values, chunk, min_batch):
-    # small chunks cross chunk edges; a small min_batch batches even a few values
-    with mock.patch.multiple(psprimes, _MR_CHUNK=chunk, _MR_MIN_BATCH=min_batch):
+@given(flag_arrays(), st.sampled_from((psprimes._MR_CHUNK, 1, 7)))
+@example(_u64(range(41)), 7)
+@example(_u64(_MR_LIMIT_DIVISORS + psprimes._MR_LIMITS), 1)
+@example(_u64(_CARMICHAEL), 2)
+@example(_u64(_P_BELOW_2_26_5**2 + d for d in (-2, 0, 2)), 7)
+@example(_u64(((1 << 53) - 111, (1 << 53) - 1, (1 << 53) + 1)), 7)
+@example(_u64(range((1 << 53) - 200, (1 << 53) + 200)), 16)  # a dense run across 2**53
+@example(_u64(range(_SIEVE_VALUE_CAP - 200, _SIEVE_VALUE_CAP + 200)), 16)
+@example(_u64(range((1 << 50) - 4000, (1 << 50) + 4000)), psprimes._MR_CHUNK)
+def test_prime_flags_matches_is_prime(values, chunk):
+    # small chunks cross chunk edges, and a chunk of a few values is batched too
+    with mock.patch.object(psprimes, "_MR_CHUNK", chunk):
         flags = prime_flags(values)
     assert flags.dtype == bool
     assert flags.tolist() == [is_prime(v) for v in values.tolist()]
 
 
-def test_prime_flags_refutes_every_strong_pseudoprime_bound(monkeypatch):
+def test_prime_flags_refutes_every_strong_pseudoprime_bound():
     # psi_k passes the first k bases; below 2**53 each is batched, not sieved
-    monkeypatch.setattr(psprimes, "_MR_MIN_BATCH", 1)
     limits = [v for v in psprimes._MR_LIMITS if v < 1 << 53]
     assert len(limits) == 7
     assert not prime_flags(_u64(limits)).any()
@@ -678,7 +676,7 @@ _PSI_7 = psprimes._MR_LIMITS[6]  # 341,550,071,728,321: strong pseudoprime to ba
 
 
 def test_prime_flags_stacks_the_bases_each_value_needs(monkeypatch):
-    # ~360 primes around psi_7 keep their chunk batched at the default _MR_MIN_BATCH
+    # ~360 primes around psi_7, the pseudoprime and Carmichael numbers in one batch
     primes = [p for p in range(_PSI_7 - 6_000, _PSI_7 + 6_000) if is_prime(p)]
     assert len(primes) >= 300
     values = _u64(primes + [_PSI_7] + list(_CARMICHAEL))

@@ -5,12 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psqr import residues
@@ -231,7 +233,7 @@ def test_row_stores_stay_within_budget(empty_rows, monkeypatch):
     ns = np.arange(1, 4001, 2, dtype=np.uint64)
     plan = residues.plan_rows(qs, ns.size)
     for q in qs:
-        assert residues.symbol_bits(q, ns, plan).tolist() == (jacobi_column(q, ns) < 0).tolist()
+        assert jacobi_column(q, ns, plan).tolist() == jacobi_column(q, ns).tolist()
     built = residues._planned_rows(plan)
     assert set(built) == plan and sum(map(len, built.values())) <= budget < sum(qs)
 
@@ -277,100 +279,130 @@ def test_jacobi_column_across_its_chunk_boundary():
     size = 2 * residues.COLUMN_CHUNK + 3
     ns = [2 * rng.randrange(0, 1 << 63) + 1 if i % 3 else 2 * rng.randrange(0, 10**6) + 1
           for i in range(size)]
-    for s in (6, 1 << 64, _U64):
-        assert jacobi_column(s, ns).tolist() == [_jacobi_loop(s % n, n) for n in ns]
+    for s in (6, 45 << 3, 1 << 64, _U64):
+        want = [_jacobi_loop(s % n, n) for n in ns]
+        for plan in (frozenset(), residues.plan_rows((s,), size)):
+            assert jacobi_column(s, ns, plan).tolist() == want, (s, plan)
 
 
 def test_jacobi_column_validation():
-    with pytest.raises(EvenModulus):
-        jacobi_column(3, [5, 10])
-    with pytest.raises(EvenModulus):
-        jacobi_column(3, [0])
+    for s in (3, 2, 12, 1_000_003):
+        plans = (frozenset(), residues.plan_rows((s,), 1 << 20))
+        for plan in plans:
+            with pytest.raises(EvenModulus):
+                jacobi_column(s, [5, 10], plan)
+            with pytest.raises(EvenModulus):
+                jacobi_column(s, [0], plan)
+            assert jacobi_column(s, [], plan).size == 0
+        # the only even modulus lies in the second chunk, on and off t's row
+        ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
+        ns[residues.COLUMN_CHUNK + 5] += 1
+        for plan in plans:
+            with pytest.raises(EvenModulus):
+                jacobi_column(s, ns, plan)
     for s in (0, -3, (1 << 64) + 1):
         with pytest.raises(PreconditionViolated):
             jacobi_column(s, [5])
-    assert jacobi_column(5, []).size == 0
-    # the only even modulus lies in the second chunk
-    ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
-    ns[residues.COLUMN_CHUNK + 5] += 1
-    with pytest.raises(EvenModulus):
-        jacobi_column(3, ns)
 
 
 def test_jacobi_column_memory_follows_its_chunks():
     # 203,999 odd moduli (1.6 MB): beyond its int8 output, a column traces
-    # only one chunk's working set, however many moduli it is given
+    # only one chunk's working set, however many moduli it is given: the
+    # reduction (3 off its plan, 1,000,003), 3's row (3 and 12 on the plan)
+    # and the sign alone (8)
     ns = np.arange(3, 408_000, 2, dtype=np.uint64)
-    jacobi_column(3, ns[:10])
-    tracemalloc.start()
+    plan = residues.plan_rows((3,), ns.size)
+    for s, on in ((3, frozenset()), (1_000_003, frozenset()), (3, plan), (12, plan), (8, plan)):
+        jacobi_column(s, ns[:10], on)  # the row, and the plan's cache, exist
+        tracemalloc.start()
+        try:
+            jacobi_column(s, ns, on)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, (s, on, peak)
+
+
+# -- planned columns: t's row against the reduction -----------------------------
+
+@st.composite
+def planned_cases(draw):
+    # s = 2**e t, t odd up to the row cap ROW_BUDGET/16: primes, odd composites
+    # and t = 1, with every e that keeps s <= 2**64
+    t = draw(st.one_of(
+        st.sampled_from([1, 3, 5, 7, 9, 15, 21, 45, 105, 6569, 3 * 5 * 7 * 11 * 13, 262143]),
+        st.integers(0, (residues.ROW_BUDGET >> 5) - 1).map(lambda k: 2 * k + 1),
+    ))
+    s = t << draw(st.integers(0, 64 if t == 1 else 64 - t.bit_length()))
+    moduli = st.one_of(
+        st.integers(0, _U64 >> 1).map(lambda k: 2 * k + 1),
+        st.integers(0, 10**6).map(lambda k: 2 * k + 1),
+        st.integers(0, (_U64 // t - 1) >> 1).map(lambda k: t * (2 * k + 1)),  # sharing t's factors
+        st.sampled_from([1, 3, 5, 7, _U64]),
+    )
+    chunk = draw(st.sampled_from([1, 3, 64]))
+    return s, draw(st.lists(moduli, max_size=3 * chunk + 2)), chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(planned_cases())
+@example((1, [1, 3, 5, 7, 9, 11, 13, 15, _U64], 3))
+@example((1 << 64, [1, 3, 5, 7, 9, 11, 13, 15, _U64], 3))
+@example((45 << 3, [1, 3, 9, 15, 45, 135, 7, 11, 13, 17], 4))
+@example((45 << 6, [1, 3, 9, 15, 45, 135, 7, 11, 13, 17], 4))
+def test_planned_column_matches_the_reduction(case):
+    # t's row (t in a plan for a run of moduli enough that the budget alone
+    # bounds it) gives the reduction's column (the empty plan) and the loop's,
+    # with chunks of 1, 3 or 64 moduli so lists span chunk edges
+    s, ns, chunk = case
+    t = s >> ((s & -s).bit_length() - 1)
+    plan = residues.plan_rows((s,), residues.ROW_BUDGET)
+    assert (t in plan) == (t > 1)
+    ns = np.array(ns, dtype=np.uint64)
+    default, residues.COLUMN_CHUNK = residues.COLUMN_CHUNK, chunk
     try:
-        jacobi_column(3, ns)
-        peak = tracemalloc.get_traced_memory()[1]
+        cols = [jacobi_column(s, ns, on) for on in (plan, frozenset())]
     finally:
-        tracemalloc.stop()
-    assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, peak
-
-
-# -- prime numerators from rows ------------------------------------------------
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from([2, 3, 5, 7, 11, 8191, 65537, 262139, 262147, 2**61 - 1]),
-    st.lists(st.one_of(st.integers(0, _U64 >> 1).map(lambda k: 2 * k + 1),
-                       st.integers(0, 10**6).map(lambda k: 2 * k + 1)), max_size=40),
-)
-def test_symbol_bits_match_the_column(q, ns):
-    # odd moduli of any kind, multiples of q included, from q's row (q in its
-    # own plan, for a run of moduli enough that the budget alone bounds it) and
-    # from the column (an empty plan)
-    ns = np.array(ns + [q * k for k in (1, 3, 5) if q > 2 and q * k < _U64], dtype=np.uint64)
-    want = (jacobi_column(q, ns) < 0).tolist()
-    plan = residues.plan_rows((q,), residues.ROW_BUDGET)
-    assert (q in plan) == (2 < q <= residues.ROW_BUDGET >> 4)
-    for on_plan in (plan, frozenset()):
-        assert residues.symbol_bits(q, ns, on_plan).tolist() == want
-    assert (q in residues._planned_rows(plan)) == (q in plan)
+        residues.COLUMN_CHUNK = default
+    want = [_jacobi_loop(s % n, n) for n in ns.tolist()]
+    assert cols[0].dtype == np.int8
+    assert cols[0].tolist() == cols[1].tolist() == want
+    assert (t in residues._planned_rows(plan)) == (t > 1)
 
 
 def test_plan_rows_bounded_by_its_moduli():
-    # q takes a row only if it is at most 8 times the run's moduli
+    # t takes a row only if it is at most 8 times the run's moduli
     qs = (2, 3, 101, 8191, 65537)
     for moduli, plan in ((0, ()), (12, (3,)), (13, (3, 101)), (8192, (3, 101, 8191)),
                          (8193, (3, 101, 8191, 65537)), (1 << 40, (3, 101, 8191, 65537))):
         assert residues.plan_rows(qs, moduli) == frozenset(plan), moduli
+    # a plan holds odd parts t > 1, composite or prime, each once
+    assert residues.plan_rows((1, 2, 1 << 64, 12, 3, 45 << 7, 9, 2**61 - 1), 1 << 20) == {3, 9, 45}
 
 
-def test_symbol_bits_validation():
-    for plan in (residues.plan_rows((3,), 1), frozenset()):
-        with pytest.raises(EvenModulus):
-            residues.symbol_bits(3, np.array([5, 10], dtype=np.uint64), plan)
-        with pytest.raises(NotPrime):
-            residues.symbol_bits(9, np.array([5], dtype=np.uint64), plan)
-        assert residues.symbol_bits(3, np.array([], dtype=np.uint64), plan).size == 0
-    # a plan holds primes only, so symbol_bits may read its rows unchecked
-    with pytest.raises(NotPrime):
-        residues.symbol_bits(9, np.array([5], dtype=np.uint64), residues.plan_rows((9,), 1))
-    with pytest.raises(NotPrime):
-        residues.plan_rows((3, 5, 2**61 - 1, 2**61 + 1), 1 << 20)
-    # the only even modulus lies in the second chunk, on and off the row
-    ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
-    ns[residues.COLUMN_CHUNK + 5] += 1
-    for q in (2, 3, 1_000_003):
-        with pytest.raises(EvenModulus):
-            residues.symbol_bits(q, ns, residues.plan_rows((q,), ns.size))
+def test_planned_row_built_once_from_many_threads(monkeypatch):
+    # 64 columns on 8 threads (2 CPUs here) share one fresh plan, with a short
+    # switch interval and a slow build: the row is built once, and every
+    # column reads it whole
+    builds = []
+    build = residues._jacobi_row
 
+    def slow_build(m):
+        builds.append(m)
+        time.sleep(0.01)
+        return build(m)
 
-def test_symbol_bits_memory_follows_its_chunks():
-    # 203,999 odd moduli (1.6 MB): beyond its bool output, symbol_bits traces
-    # only a few chunk-wide arrays, from q's row (3) or the column (1,000,003)
-    ns = np.arange(3, 408_000, 2, dtype=np.uint64)
-    for q in (3, 1_000_003):
-        plan = residues.plan_rows((q,), ns.size)
-        residues.symbol_bits(q, ns[:10], plan)  # the row, and the plan's cache, exist
-        tracemalloc.start()
-        try:
-            residues.symbol_bits(q, ns, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, (q, peak)
+    monkeypatch.setattr(residues, "_jacobi_row", slow_build)
+    residues._planned_rows.cache_clear()
+    plan = residues.plan_rows((45 << 1,), 1 << 20)
+    ns = np.arange(1, 20_001, 2, dtype=np.uint64)
+    want = jacobi_column(90, ns).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            cols = list(pool.map(lambda _: jacobi_column(90, ns, plan), range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [45]
+    assert all(col.tolist() == want for col in cols)
