@@ -287,40 +287,77 @@ def test_jacobi_column_across_its_chunk_boundary():
 
 def test_jacobi_column_validation():
     for s in (3, 2, 12, 1_000_003):
-        plans = (frozenset(), residues.plan_rows((s,), 1 << 20))
-        for plan in plans:
-            with pytest.raises(EvenModulus):
-                jacobi_column(s, [5, 10], plan)
-            with pytest.raises(EvenModulus):
-                jacobi_column(s, [0], plan)
-            assert jacobi_column(s, [], plan).size == 0
-        # the only even modulus lies in the second chunk, on and off t's row
-        ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
-        ns[residues.COLUMN_CHUNK + 5] += 1
-        for plan in plans:
-            with pytest.raises(EvenModulus):
-                jacobi_column(s, ns, plan)
+        with pytest.raises(EvenModulus):
+            jacobi_column(s, [5, 10])
+        with pytest.raises(EvenModulus):
+            jacobi_column(s, [0])
+        assert jacobi_column(s, []).size == 0
     for s in (0, -3, (1 << 64) + 1):
         with pytest.raises(PreconditionViolated):
             jacobi_column(s, [5])
+    # the only even modulus lies in the second chunk
+    ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
+    ns[residues.COLUMN_CHUNK + 5] += 1
+    with pytest.raises(EvenModulus):
+        jacobi_column(3, ns)
 
 
 def test_jacobi_column_memory_follows_its_chunks():
     # 203,999 odd moduli (1.6 MB): beyond its int8 output, a column traces
     # only one chunk's working set, however many moduli it is given: the
-    # reduction (3 off its plan, 1,000,003), 3's row (3 and 12 on the plan)
-    # and the sign alone (8)
+    # reduction (3, 1,000,003) and the sign alone (8)
     ns = np.arange(3, 408_000, 2, dtype=np.uint64)
-    plan = residues.plan_rows((3,), ns.size)
-    for s, on in ((3, frozenset()), (1_000_003, frozenset()), (3, plan), (12, plan), (8, plan)):
-        jacobi_column(s, ns[:10], on)  # the row, and the plan's cache, exist
+    for s in (3, 1_000_003, 8):
+        jacobi_column(s, ns[:10])
         tracemalloc.start()
         try:
-            jacobi_column(s, ns, on)
+            jacobi_column(s, ns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, (s, on, peak)
+        assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, (s, peak)
+
+
+def _symbol_bits(q, ns, plan):
+    # a census's sign bits for basis prime q, as census._count_patterns forms them
+    return jacobi_column(q, ns, plan) < 0
+
+
+def test_symbol_bits_validation():
+    # a census prime's sign bits, on q's row and off it (an empty plan), for
+    # q = 2 (the sign alone), 3 (a row) and 1,000,003 (a row under a large
+    # plan), and 12 on 3's row
+    for q in (2, 3, 12, 1_000_003):
+        for plan in (residues.plan_rows((q,), 1 << 20), frozenset()):
+            with pytest.raises(EvenModulus):
+                _symbol_bits(q, np.array([5, 10], dtype=np.uint64), plan)
+            with pytest.raises(EvenModulus):
+                _symbol_bits(q, np.array([0], dtype=np.uint64), plan)
+            assert _symbol_bits(q, np.array([], dtype=np.uint64), plan).size == 0
+    # the only even modulus lies in the second chunk, on and off the row
+    ns = np.arange(1, 4 * residues.COLUMN_CHUNK, 2, dtype=np.uint64)
+    ns[residues.COLUMN_CHUNK + 5] += 1
+    for q in (2, 3, 12, 1_000_003):
+        for plan in (residues.plan_rows((q,), ns.size), frozenset()):
+            with pytest.raises(EvenModulus):
+                _symbol_bits(q, ns, plan)
+
+
+def test_symbol_bits_memory_follows_its_chunks():
+    # 203,999 odd moduli (1.6 MB): beyond its output, a census prime's sign
+    # bits trace only one chunk's working set, from q's row (3, and 12 on 3's
+    # row) or the reduction (1,000,003 off its plan)
+    ns = np.arange(3, 408_000, 2, dtype=np.uint64)
+    plan = residues.plan_rows((3,), ns.size)
+    for q, on in ((3, plan), (12, plan), (1_000_003, frozenset())):
+        _symbol_bits(q, ns[:10], on)  # the row, and the plan's cache, exist
+        tracemalloc.start()
+        try:
+            _symbol_bits(q, ns, on)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ns.size + 9 * residues.COLUMN_CHUNK * ns.itemsize, (q, peak)
 
 
 # -- planned columns: t's row against the reduction -----------------------------
