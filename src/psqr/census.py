@@ -8,27 +8,26 @@ through fixed blocks of at most MAX_BLOCK_SIZE n or primes
 (PsPrimeRange.blocks or prime_file_blocks), so memory does not grow with the
 input and reports are byte-identical for any thread count. The blocks run
 through psqr.in_order, in this process or on a process pool; census_workers
-sizes a window's pool by psprimes.primality_tier, prime_flags' tier rule and
-cost table. Every block hands its primes to the histogram as one uint64
-array: psprimes.ps_prime_array's floors, or a verified block of the file.
+sizes a window's pool by PsPrimeRange.top_block_seconds. Every block hands
+its primes to the histogram as one uint64 array: psprimes.ps_prime_array's
+floors, or a verified block of the file.
 
-Symbols come from the set's odd-exponent prime basis, read off the
-factorizations the square-subset family already holds, so each element is
-factored once per census: (s/p) = -1 exactly when an odd number of the primes
-q dividing s to an odd power have (q/p) = -1. Each block takes one
-residues.jacobi_column per basis prime, gathered from q's row when the
-census's row plan holds q, and XORs where it is -1 into the pattern mask of
-every element that q divides to an odd power. Every mask is therefore a sum
-of columns of the exponent matrix, so patterns outside the prediction's
-support (its structural zeros) cannot be counted. A prime dividing any
-element, or p = 2, is skipped.
+Symbols come from the set's odd-exponent prime basis, the columns of the
+exponent matrix that kernels.square_subset_family builds as it factors each
+element: (s/p) = -1 exactly when an odd number of the primes q dividing s to
+an odd power have (q/p) = -1. Each block takes one residues.jacobi_column per
+basis prime, gathered from q's row when the census's row plan holds q (the
+plan is sized by a window's n, or by a file's read-ahead entries), and XORs
+where it is -1 into the pattern mask of every element that q divides to an
+odd power. Every mask is therefore a sum of columns of the exponent matrix,
+so patterns outside the prediction's support (its structural zeros) cannot
+be counted. A prime dividing any element, or p = 2, is skipped.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Iterator
@@ -39,10 +38,7 @@ from . import in_order
 from .errors import BadPrimeFile, Overflow, PreconditionViolated, SetTooLarge, WindowTooSmall
 from .kernels import SquareSubsetFamily, _mask_key
 from .predict import PATTERN_SET_CAP, Prediction, dominates, parity_analysis
-from .psprimes import (
-    BLOCK_SIZE, FLOOR_PASS_S, PRIME_BUDGET, PsPrimeRange, floor_pow,
-    prime_flags, primality_tier, ps_prime_array,
-)
+from .psprimes import BLOCK_SIZE, PRIME_BUDGET, PsPrimeRange, prime_flags, ps_prime_array
 from .residues import jacobi_column, plan_rows
 
 # n (or primes) per block: a window block holds ~40 bytes per n
@@ -122,8 +118,10 @@ def prime_file_blocks(path: str, block_size: int = BLOCK_SIZE) -> Iterator[np.nd
     block is parsed up to its end or the file's first malformed line (a byte
     that is not UTF-8 included), then its entries are checked by one
     prime_flags call. Every earlier block passed, so the earliest bad line is
-    the one reported.
+    the one reported. A block_size below 1 is refused before the file opens.
     """
+    if block_size < 1:
+        raise PreconditionViolated("block_size must be positive")
     error: Exception | None = None
     last = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -166,29 +164,18 @@ def prime_file_blocks(path: str, block_size: int = BLOCK_SIZE) -> Iterator[np.nd
 
 @dataclass(frozen=True)
 class _Basis:
-    """The set's factorizations, as a census needs them.
+    """The set's symbol basis: the family's columns and prime divisors
+    (SquareSubsetFamily), and rows, the census's row plan (residues.plan_rows):
+    the q whose symbols gather from rows. Each process builds a planned row
+    once, as its first block needs it."""
 
-    flips: (q, positions) for each prime q dividing some element to an odd
-    power, ascending in q; bit i of positions is set when q divides element i
-    to an odd power. divisors: every prime dividing some element. rows: the
-    census's row plan (residues.plan_rows), the q whose symbols gather from
-    rows; each process builds a planned row once, as its first block needs it.
-    """
-
-    flips: tuple[tuple[int, int], ...]
+    columns: tuple[tuple[int, int], ...]
     divisors: tuple[int, ...]
     rows: frozenset[int]
 
 
 def _basis(family: SquareSubsetFamily, moduli: int) -> _Basis:
-    flips: dict[int, int] = {}
-    divisors: set[int] = set()
-    for i, factors in enumerate(family.factored):
-        for q, e in factors:
-            divisors.add(q)
-            if e & 1:
-                flips[q] = flips.get(q, 0) | 1 << i
-    return _Basis(tuple(sorted(flips.items())), tuple(sorted(divisors)), plan_rows(flips, moduli))
+    return _Basis(family.columns, family.divisors, plan_rows((q for q, _ in family.columns), moduli))
 
 
 def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[int, int]]:
@@ -196,7 +183,7 @@ def _count_patterns(basis: _Basis, primes: np.ndarray) -> tuple[int, int, dict[i
     # symbols are defined at odd primes dividing no element; the rest count as skipped
     odd = primes[~np.isin(primes, np.array((2,) + basis.divisors, dtype=np.uint64))]
     masks = np.zeros(odd.size, dtype=np.int64)
-    for q, positions in basis.flips:
+    for q, positions in basis.columns:
         masks ^= (jacobi_column(q, odd, basis.rows) < 0) * np.int64(positions)
     keys, counts = np.unique(masks, return_counts=True)
     return primes.size, primes.size - odd.size, dict(zip(keys.tolist(), counts.tolist()))
@@ -218,21 +205,17 @@ def census_workers(window: PsPrimeRange, block_size: int, threads: int) -> int:
 
     A pool is forked only for two blocks or more whose estimated serial work
     reaches POOL_MIN_WORK_S: the window's n times the per-n cost of its top
-    block (the block_size n up to hi), which psprimes.primality_tier prices
-    from the block's end floors by prime_flags' tier and cost table, plus
-    FLOOR_PASS_S per n at c > 1. A pool of two that counts two tiny blocks
-    (c = 1, (0, 2000]) takes 0.014 s against 0.0005 s serial, so a window
-    repays one only from a few tenths of a second. The rule reads no clock
-    and no CPU count, so a run forks the same pool on any host.
+    block (the block_size n up to hi, PsPrimeRange.top_block_seconds). A
+    pool of two that counts two tiny blocks (c = 1, (0, 2000]) takes 0.014 s
+    against 0.0005 s serial, so a window repays one only from a few tenths
+    of a second. The rule reads no clock and no CPU count, so a run forks
+    the same pool on any host.
     """
-    c = window.exponent
     n = window.hi - window.lo
     count = min(n, block_size)  # the top block's n, up to hi
-    seconds = primality_tier(count, floor_pow(window.hi - count + 1, c), floor_pow(window.hi, c))[1]
-    if c.num != c.den:
-        seconds += count * FLOOR_PASS_S
+    seconds = window.top_block_seconds(count) * n / count
     blocks = -(-n // block_size)
-    if threads == 1 or blocks < 2 or seconds * n / count < POOL_MIN_WORK_S:
+    if threads == 1 or blocks < 2 or seconds < POOL_MIN_WORK_S:
         return 1
     return min(threads, blocks)
 
@@ -262,12 +245,13 @@ def run_census(config: CensusConfig) -> CensusReport:
             )
     else:
         # a file's size is unknown until it is read: up to threads blocks are
-        # read ahead, and two or more fork a pool no wider than they are
+        # read ahead, two or more fork a pool no wider than they are, and
+        # their entries size the row plan
         blocks = prime_file_blocks(primes, config.block_size)
         head = list(itertools.islice(blocks, config.threads))
         workers = max(len(head), 1)
+        moduli = sum(b.size for b in head)
         blocks = itertools.chain(head, blocks)
-        moduli = (os.path.getsize(primes) + 1) // 2  # an entry takes a digit and a newline
 
     basis = _basis(prediction.family, moduli)
     tasks = ((basis, block) for block in blocks)

@@ -5,6 +5,7 @@ perfect square is the nonzero part of a GF(2) kernel: each element maps to
 its vector of prime exponents mod 2, and a subset multiplies to a square
 exactly when its indicator vector lies in the left nullspace of that matrix.
 Subset indicators are packed into ints, bit i = position i of the input list.
+The matrix's columns are the census's symbol basis.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ FACTOR_BUDGET = 1 << 64
 _TRIAL_LIMIT = 1 << 16
 
 MEMBER_SET_CAP = 20       # above this, members are not enumerated
+MEMBER_DIM_CAP = 16       # nor above this kernel dimension: 2**16 - 1 members
 BRUTE_FORCE_CAP = 24
 
 
@@ -104,8 +106,11 @@ class SquareSubsetFamily:
 
     kernel_basis spans the subset-indicator kernel; family_count = 2**kernel_dim - 1
     and parity_sum is the signed subset count sum((-1)**|T|) over the family.
-    factored holds each element's (prime, exponent) pairs when the family was
-    built by factoring (not serialised; None for the brute-force oracle).
+    members lists the family up to MEMBER_SET_CAP elements and MEMBER_DIM_CAP
+    kernel dimensions, else is None. Built by factoring (not serialised; None
+    for the brute-force oracle): columns, (q, positions) ascending in q, bit i
+    of positions set when q divides element i to an odd power; divisors, every
+    prime dividing an element.
     """
 
     elements: tuple[int, ...]
@@ -115,7 +120,8 @@ class SquareSubsetFamily:
     parity_sum: int
     kernel_basis: tuple[int, ...]
     members: tuple[tuple[int, ...], ...] | None
-    factored: tuple[tuple[tuple[int, int], ...], ...] | None = field(default=None, repr=False)
+    columns: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
+    divisors: tuple[int, ...] | None = field(default=None, repr=False)
 
     def member_masks(self) -> Iterator[int]:
         """Every nonzero kernel vector, by Gray-code walk over the basis."""
@@ -189,19 +195,18 @@ def square_subset_family(S: Iterable[int]) -> SquareSubsetFamily:
     elements = _validated_elements(S)
     size = len(elements)
 
-    # joint basis: union of odd-exponent primes, ascending
-    odd_primes: set[int] = set()
-    factored = tuple(factorize(s).factors for s in elements)
-    for factors in factored:
-        odd_primes.update(p for p, e in factors if e & 1)
-    col = {p: i for i, p in enumerate(sorted(odd_primes))}
-    rows = []
-    for factors in factored:
-        v = 0
-        for p, e in factors:
+    # one walk of the factorizations: each odd-exponent prime's column of
+    # element positions, and every prime divisor
+    flips: dict[int, int] = {}
+    divisors: set[int] = set()
+    for i, s in enumerate(elements):
+        for p, e in factorize(s).factors:
+            divisors.add(p)
             if e & 1:
-                v |= 1 << col[p]
-        rows.append(v)
+                flips[p] = flips.get(p, 0) | 1 << i
+    # each element's row: bit j for the j-th column, primes ascending
+    columns = tuple(sorted(flips.items()))
+    rows = [sum(1 << j for j, (_, pos) in enumerate(columns) if pos >> i & 1) for i in range(size)]
 
     kernel_basis = _left_nullspace(rows)
     dim = len(kernel_basis)
@@ -221,7 +226,7 @@ def square_subset_family(S: Iterable[int]) -> SquareSubsetFamily:
             )
 
     members = None
-    if size <= MEMBER_SET_CAP:
+    if size <= MEMBER_SET_CAP and dim <= MEMBER_DIM_CAP:
         members = _members_from_masks(elements, _gray_span(kernel_basis))
     return SquareSubsetFamily(
         elements=elements,
@@ -231,7 +236,8 @@ def square_subset_family(S: Iterable[int]) -> SquareSubsetFamily:
         parity_sum=parity_sum,
         kernel_basis=tuple(kernel_basis),
         members=members,
-        factored=factored,
+        columns=columns,
+        divisors=tuple(sorted(divisors)),
     )
 
 
@@ -280,7 +286,7 @@ def brute_force_family(S: Iterable[int]) -> SquareSubsetFamily:
             v ^= pivots[col]
 
     members = None
-    if size <= MEMBER_SET_CAP:
+    if size <= MEMBER_SET_CAP and dim <= MEMBER_DIM_CAP:
         members = _members_from_masks(elements, member_masks)
     return SquareSubsetFamily(
         elements=elements,

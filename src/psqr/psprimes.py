@@ -381,7 +381,8 @@ def is_ps_prime(p: int, c: RationalExponent) -> bool:
 
 @dataclass(frozen=True)
 class PsPrimeRange:
-    """The n-window (lo, hi] together with its exponent."""
+    """The n-window (lo, hi] together with its exponent: its n-blocks, and
+    the serial price of its top block, which sizes a census's pool."""
 
     exponent: RationalExponent
     lo: int
@@ -402,6 +403,14 @@ class PsPrimeRange:
             raise PreconditionViolated("block_size must be positive")
         for b_lo in range(self.lo, self.hi, size):
             yield self.exponent, b_lo, min(b_lo + size, self.hi)
+
+    def top_block_seconds(self, count: int) -> float:
+        """Estimated serial seconds of ps_prime_array over the window's top
+        count n (up to hi): primality_tier's price of a run from their end
+        floors, plus the float floor pass, FLOOR_PASS_S per n, at c > 1."""
+        c = self.exponent
+        seconds = primality_tier(count, floor_pow(self.hi - count + 1, c), floor_pow(self.hi, c))[1]
+        return seconds + count * FLOOR_PASS_S if c.num != c.den else seconds
 
 
 BLOCK_SIZE = 1 << 16

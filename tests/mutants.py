@@ -22,11 +22,32 @@ ROOT = Path(__file__).resolve().parent.parent
 # (what the mutant breaks, file under src/psqr, text, its replacement, test that must fail)
 MUTANTS = [
     (
-        "census_workers prices the sieve for every top floor below _SIEVE_VALUE_CAP",
-        "census.py",
-        "    seconds = primality_tier(",
-        "    seconds = count * 1.2e-8 if floor_pow(window.hi, c) < 1 << 44 else primality_tier(",
+        "top_block_seconds prices the sieve for every top floor below _SIEVE_VALUE_CAP",
+        "psprimes.py",
+        "        seconds = primality_tier(",
+        "        seconds = count * 1.2e-8 if floor_pow(self.hi, c) < 1 << 44 else primality_tier(",
         "tests/test_census.py::test_census_workers_rule",
+    ),
+    (
+        "a file census plans from no entries",
+        "census.py",
+        "        moduli = sum(b.size for b in head)\n",
+        "        moduli = 0\n",
+        "tests/test_census.py::test_piped_prime_list_plans_the_file_rows",
+    ),
+    (
+        "_certified_floors without its end-floor check",
+        "psprimes.py",
+        "    if not band[-1] and not m**b <= hi**a < (m + 1) ** b:\n",
+        "    if False:\n",
+        "tests/test_psprimes.py::test_ps_block_rejects_an_expm1_outside_its_allowance",
+    ),
+    (
+        "PsPrimeRange without its hi >= PRIME_BUDGET guard",
+        "psprimes.py",
+        "        if self.hi >= PRIME_BUDGET or floor_pow(",
+        "        if floor_pow(",
+        "tests/test_census.py::test_window_validation_property",
     ),
     (
         "primality_tier prices the sieve past _SIEVE_VALUE_CAP",

@@ -118,14 +118,17 @@ def test_census_pool_no_wider_than_the_window(monkeypatch, tmp_path):
 _N52 = integer_nth_root(1 << 520, 11)  # floors from ~2**52 at c = 11/10
 
 
+# serial times: run_census of {2, 3} at one thread in a fresh process, 2-vCPU host
 _WORKER_ROWS = [
-    # light windows, timed at 0.005-0.07 s serial: a pool loses
+    # light windows, timed at 0.002-0.012 s serial: a pool loses
     (C11, 610_677, 1_221_354, 1 << 16, 2, 1),
     (C11, 610_677, 1_221_354, 1 << 18, 2, 1),
     (RationalExponent(243, 205), 67_000, 134_000, 1 << 16, 2, 1),
     (C1, 6_000_000, 9_000_000, 1 << 16, 2, 1),
     (C1, 6_000_000, 9_000_000, 1 << 20, 2, 1),
-    # heavy windows, timed at 0.6-2 s serial: a pool repays itself
+    # heavy windows, timed at 0.09-0.58 s serial (0.24 s for (0, 10**8] in
+    # 2**19-n blocks, where two workers took 0.17-0.20 s) and priced at
+    # 0.28-1.8 s: the rule forks a pool
     (C1, 0, 10**8, 1 << 19, 2, 2),
     (C1, 0, 10**8, 1 << 22, 2, 2),
     (C11, _N52, _N52 + 6 * (1 << 16), 1 << 16, 2, 2),
@@ -138,8 +141,8 @@ _WORKER_ROWS = [
     # sparse floors below the sieve's cap take Miller-Rabin, a per-n cost to repay
     (RationalExponent(19, 10), 10**6, 2 * 10**6, 1 << 16, 2, 2),
     # c = 1 blocks of 2**16 n from 2**40 have too few n to repay the sieve's
-    # base primes, so they take Miller-Rabin (0.37-0.60 s serial); from 2**34
-    # they sieve (0.08-0.16 s)
+    # base primes, so they take Miller-Rabin (0.15-0.18 s serial, priced at
+    # 0.73 s); from 2**34 they sieve (0.035 s, priced at 0.16 s)
     (C1, 1 << 40, (1 << 40) + (1 << 20), 1 << 16, 2, 2),
     (C1, 1 << 43, (1 << 43) + (1 << 20), 1 << 16, 2, 2),
     (C1, 1 << 34, (1 << 34) + (1 << 20), 1 << 16, 2, 1),
@@ -160,13 +163,13 @@ _TIER_WINDOWS = list(dict.fromkeys([row[:4] for row in _WORKER_ROWS] + [
 
 @pytest.mark.parametrize("c, lo, hi, block", _TIER_WINDOWS, ids=str)
 def test_census_prices_the_tier_prime_flags_takes(monkeypatch, c, lo, hi, block):
-    priced = []
+    priced, price = [], psprimes.primality_tier
 
     def pricing(count, f_lo, f_hi):
-        priced.append(psprimes.primality_tier(count, f_lo, f_hi))
+        priced.append(price(count, f_lo, f_hi))
         return priced[-1]
 
-    monkeypatch.setattr(census, "primality_tier", pricing)
+    monkeypatch.setattr(psprimes, "primality_tier", pricing)
     census.census_workers(PsPrimeRange(c, lo, hi), block, 2)
     [(tier, _)] = priced
 
@@ -307,6 +310,42 @@ def test_file_round_trip(window):
 
 def _file_entries(path, block_size=BLOCK_SIZE):
     return [p for block in prime_file_blocks(path, block_size) for p in block.tolist()]
+
+
+def test_prime_file_blocks_refuses_a_block_size_below_one(tmp_path):
+    # refused before the file is opened, as PsPrimeRange.blocks refuses it
+    for size in (0, -5):
+        with pytest.raises(PreconditionViolated):
+            next(prime_file_blocks(str(tmp_path / "absent.txt"), size))
+        with pytest.raises(PreconditionViolated):
+            next(PsPrimeRange(C1, 0, 10).blocks(size))
+
+
+def test_piped_prime_list_plans_the_file_rows(monkeypatch, tmp_path):
+    # a pipe has no size: the plan comes from the entries read ahead, as a file's does
+    elements = (3, 5, 15, 77, 613, 4201, 31337, 130003)
+    path = tmp_path / "primes.txt"
+    write_prime_file(path, primes_up_to(10**5).tolist())
+    planned, plan = [], census.plan_rows
+    monkeypatch.setattr(census, "plan_rows", lambda qs, moduli: planned.append(plan(qs, moduli)) or planned[-1])
+    reports = [run_census(CensusConfig(elements=elements, primes=str(path)))]
+    read, write = os.pipe()
+
+    def feed():
+        with open(write, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    with ThreadPoolExecutor(1) as pool:
+        fed = pool.submit(feed)
+        try:
+            reports.append(run_census(CensusConfig(elements=elements, primes=f"/dev/fd/{read}")))
+        finally:
+            os.close(read)  # a census that stops early leaves the writer a broken pipe
+        fed.result()
+    # 9,592 entries plan the basis primes up to 8 x 9,592
+    assert planned == [frozenset((3, 5, 7, 11, 613, 4201, 31337))] * 2
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[1].total_primes == 9592
 
 
 def test_prime_file_validation(tmp_path):
@@ -699,24 +738,24 @@ def test_census_builds_each_basis_row_at_most_once(monkeypatch):
 
 def test_census_of_few_primes_builds_no_row(monkeypatch, tmp_path):
     # 16 basis primes in (200,003, 2**18): rows go only to primes up to 8 times
-    # a bound on the census's primes, here 2,000 n or 655 file entries
+    # a bound on the census's primes, here 2,000 n or the file's 262 entries
     elements = tuple(int(p) for p in primes_up_to(1 << 18) if p > 200_003)[:16]
-    builds = []
-    build = residues._jacobi_row
+    builds, planned = [], []
+    build, plan = residues._jacobi_row, census.plan_rows
 
     def counted_build(m):
         builds.append(m)
         return build(m)
 
     monkeypatch.setattr(residues, "_jacobi_row", counted_build)
+    monkeypatch.setattr(census, "plan_rows", lambda qs, moduli: planned.append(moduli) or plan(qs, moduli))
     primes = primes_up_to(3000)
     primes = primes[primes > 1000].astype(np.uint64)
     path = tmp_path / "primes.txt"
     write_prime_file(path, primes.tolist())
-    assert (path.stat().st_size + 1) // 2 == 655
     reports = [run_census(CensusConfig(elements=elements, primes=source))
                for source in (PsPrimeRange(C1, 1000, 3000), str(path))]
-    assert builds == []
+    assert planned == [2000, 262] and builds == []
     total, skipped, counts = _column_histogram(elements, primes)
     assert (total, skipped) == (262, 0)
     for report in reports:

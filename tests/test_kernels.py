@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -122,3 +123,46 @@ def test_member_enumeration_cap():
     assert fam.set_size == 21
     assert fam.members is None
     assert fam.family_count == (1 << 21) - 1
+
+
+def test_member_list_bounded_by_kernel_dim():
+    # 16 squares list their 2**16 - 1 members; 17 squares, as 21 do, list none
+    for count, listed in ((16, True), (17, False)):
+        elements = tuple(k * k for k in range(2, 2 + count))
+        fam, oracle = square_subset_family(elements), brute_force_family(elements)
+        assert fam.kernel_dim == oracle.kernel_dim == count
+        assert fam.members == oracle.members
+        assert (fam.members is not None) == listed
+        if listed:
+            assert len(fam.members) == fam.family_count
+
+
+def test_family_of_twenty_squares_memory():
+    # kernel dimension 20: the parity self-check walks 2**20 masks, and no
+    # member is listed (1,048,575 lists took 1.26 GB resident)
+    tracemalloc.start()
+    try:
+        fam = square_subset_family(tuple(k * k for k in range(1, 21)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fam.kernel_dim, fam.family_count, fam.members) == (20, (1 << 20) - 1, None)
+    assert peak < 1 << 20
+
+
+def test_family_columns_are_the_exponent_matrix():
+    rng = random.Random(29)
+    for _ in range(200):
+        elements = tuple(rng.sample(range(1, 10**6), rng.randrange(1, 9)))
+        fam = square_subset_family(elements)
+        factored = [factorize(s).factors for s in elements]
+        columns = {}
+        for i, factors in enumerate(factored):
+            for q, e in factors:
+                columns[q] = columns.get(q, 0) | (e & 1) << i
+        assert fam.columns == tuple((q, m) for q, m in sorted(columns.items()) if m)
+        assert fam.divisors == tuple(sorted(columns))
+        # a kernel vector meets every column evenly: its product is a square
+        for b in fam.kernel_basis:
+            assert all((b & m).bit_count() % 2 == 0 for _, m in fam.columns)
+    assert brute_force_family((2, 3, 6)).columns is None
